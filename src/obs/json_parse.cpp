@@ -11,8 +11,18 @@
 namespace bgpsim::obs {
 
 std::uint64_t JsonValue::as_u64(std::uint64_t fallback) const {
-  if (!is_number() || number_ < 0.0) return fallback;
+  // Past 2^64 (and for NaN) the cast below would be undefined behaviour.
+  if (!is_number() || !(number_ >= 0.0 && number_ < 0x1p64)) return fallback;
   return static_cast<std::uint64_t>(number_);
+}
+
+std::optional<std::uint64_t> JsonValue::as_integer(std::uint64_t max) const {
+  // as_u64 round-trips exactly when the number is whole and in [0, 2^64).
+  const std::uint64_t value = as_u64();
+  if (!is_number() || static_cast<double>(value) != number_ || value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {

@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,7 +41,12 @@ class JsonValue {
   double as_number(double fallback = 0.0) const {
     return is_number() ? number_ : fallback;
   }
+  /// The number truncated toward zero; `fallback` when it is not a number
+  /// or not in [0, 2^64).
   std::uint64_t as_u64(std::uint64_t fallback = 0) const;
+  /// The number when it is a whole number in [0, max], else nullopt.
+  std::optional<std::uint64_t> as_integer(
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   const std::string& as_string() const { return string_; }
 
   const std::vector<JsonValue>& items() const { return items_; }

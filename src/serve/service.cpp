@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,18 +23,22 @@
 namespace bgpsim::serve {
 namespace {
 
+/// Range of the AS-count fields of /v1/attack (deployment_top, probes).
+constexpr std::uint64_t kMaxAses = std::numeric_limits<AsId>::max();
+
 /// Resolve a JSON member holding an ASN to a dense id, or explain why not.
 /// Returns kInvalidAs and fills `error` on failure.
 AsId resolve_asn(const AsGraph& graph, const obs::JsonValue& value,
                  const char* what, std::string& error) {
-  if (!value.is_number()) {
-    error = std::string(what) + " must be a number (an ASN)";
+  const std::optional<std::uint64_t> asn =
+      value.as_integer(std::numeric_limits<Asn>::max());
+  if (!asn) {
+    error = std::string(what) + " must be an ASN (an integer in [0, 2^32))";
     return kInvalidAs;
   }
-  const auto asn = static_cast<Asn>(value.as_u64());
-  const std::optional<AsId> id = graph.find(asn);
+  const std::optional<AsId> id = graph.find(static_cast<Asn>(*asn));
   if (!id) {
-    error = std::string("unknown ") + what + " asn " + std::to_string(asn);
+    error = std::string("unknown ") + what + " asn " + std::to_string(*asn);
     return kInvalidAs;
   }
   return *id;
@@ -58,17 +63,20 @@ std::uint64_t parse_job_id(std::string_view target) {
   return id;
 }
 
-/// Read an optional non-negative number member; false + `error` on type
-/// mismatch, true (leaving `out` untouched) when the member is absent.
-bool read_u64(const obs::JsonValue& doc, const char* name, std::uint64_t& out,
-              std::string& error) {
+/// Read an optional integer member: false + `error` unless it is a whole
+/// number in [0, max]; true, leaving `out` untouched, when it is absent.
+/// Every numeric request field except target_ci goes through here.
+bool read_integer(const obs::JsonValue& doc, const char* name, std::uint64_t max,
+                  std::uint64_t& out, std::string& error) {
   const obs::JsonValue* field = doc.find(name);
   if (field == nullptr) return true;
-  if (!field->is_number()) {
-    error = std::string(name) + " must be a number";
+  const std::optional<std::uint64_t> value = field->as_integer(max);
+  if (!value) {
+    error = std::string(name) + " must be an integer in [0, " +
+            std::to_string(max) + "]";
     return false;
   }
-  out = field->as_u64();
+  out = *value;
   return true;
 }
 
@@ -176,12 +184,14 @@ HttpResponse WhatIfService::handle_attack(const net::HttpRequest& request,
       filters.add(id);
     }
   }
-  if (const obs::JsonValue* top = doc.find("deployment_top")) {
-    if (!top->is_number()) {
-      return error_response(400, "deployment_top must be a number");
-    }
-    const auto k = static_cast<std::size_t>(top->as_u64());
-    for (const AsId id : top_k_deployment(graph, k).deployers) {
+  std::uint64_t deployment_top = 0;
+  std::uint64_t probe_count = 0;
+  if (!read_integer(doc, "deployment_top", kMaxAses, deployment_top, error) ||
+      !read_integer(doc, "probes", kMaxAses, probe_count, error)) {
+    return error_response(400, error);
+  }
+  if (deployment_top > 0) {
+    for (const AsId id : top_k_deployment(graph, deployment_top).deployers) {
       filters.add(id);
     }
   }
@@ -198,13 +208,6 @@ HttpResponse WhatIfService::handle_attack(const net::HttpRequest& request,
       return error_response(400, "forged_origin must be a boolean");
     }
     options.forged_origin = forged->as_bool();
-  }
-  std::uint32_t probe_count = 0;
-  if (const obs::JsonValue* probes = doc.find("probes")) {
-    if (!probes->is_number()) {
-      return error_response(400, "probes must be a number");
-    }
-    probe_count = static_cast<std::uint32_t>(probes->as_u64());
   }
   bool trace_requested = false;
   if (const obs::JsonValue* trace = doc.find("trace")) {
@@ -275,7 +278,7 @@ HttpResponse WhatIfService::handle_attack(const net::HttpRequest& request,
   if (probe_count > 0) {
     json.key("detection");
     json.begin_object();
-    json.field("probes", static_cast<std::uint64_t>(probe_count));
+    json.field("probes", probe_count);
     json.field("triggered", static_cast<std::uint64_t>(probes_triggered));
     json.field("detected", detected);
     json.field("first_generation", static_cast<std::uint64_t>(first_generation));
@@ -353,12 +356,13 @@ HttpResponse WhatIfService::handle_campaign_submit(
   std::uint64_t workers = 2;
   std::uint64_t deployment_top = 0;
   std::uint64_t probes = 0;
-  if (!read_u64(doc, "samples", samples, error) ||
-      !read_u64(doc, "batch", batch, error) ||
-      !read_u64(doc, "seed", seed, error) ||
-      !read_u64(doc, "workers", workers, error) ||
-      !read_u64(doc, "deployment_top", deployment_top, error) ||
-      !read_u64(doc, "probes", probes, error)) {
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  if (!read_integer(doc, "samples", kAny, samples, error) ||
+      !read_integer(doc, "batch", kAny, batch, error) ||
+      !read_integer(doc, "seed", kAny, seed, error) ||
+      !read_integer(doc, "workers", kAny, workers, error) ||
+      !read_integer(doc, "deployment_top", kAny, deployment_top, error) ||
+      !read_integer(doc, "probes", kAny, probes, error)) {
     return error_response(400, error);
   }
   if (const obs::JsonValue* target = doc.find("target_ci")) {

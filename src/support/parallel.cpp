@@ -20,7 +20,7 @@ void parallel_chunks(
     return;
   }
   std::vector<std::thread> pool;
-  pool.reserve(workers);
+  pool.reserve(std::min<std::size_t>(workers, n));  // never more threads than items
   const std::size_t chunk = (n + workers - 1) / workers;
   for (unsigned w = 0; w < workers; ++w) {
     const std::size_t begin = static_cast<std::size_t>(w) * chunk;

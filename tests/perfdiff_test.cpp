@@ -64,6 +64,26 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("01x"), ParseError);
 }
 
+TEST(JsonParse, IntegerAccessorsRejectWhatHasNoIntegerValue) {
+  const JsonValue doc = JsonValue::parse(
+      R"([1e30, 4294967297, 4294967297.5, -1, 7, 18446744073709551616])");
+  const auto& v = doc.items();
+  EXPECT_EQ(v[0].as_u64(9), 9u);  // past 2^64: the fallback, not a wrapped cast
+  EXPECT_EQ(v[1].as_u64(), 4294967297u);
+  EXPECT_EQ(v[2].as_u64(), 4294967297u);
+  EXPECT_EQ(v[3].as_u64(9), 9u);
+  EXPECT_EQ(v[5].as_u64(9), 9u);
+  EXPECT_FALSE(v[0].as_integer().has_value());
+  EXPECT_EQ(v[1].as_integer(), 4294967297u);
+  EXPECT_FALSE(v[1].as_integer(4294967295u).has_value());
+  EXPECT_FALSE(v[2].as_integer().has_value());
+  EXPECT_FALSE(v[3].as_integer().has_value());
+  EXPECT_EQ(v[4].as_integer(7), 7u);
+  EXPECT_FALSE(v[4].as_integer(6).has_value());
+  EXPECT_FALSE(v[5].as_integer().has_value());
+  EXPECT_FALSE(JsonValue::parse("\"7\"").as_integer().has_value());
+}
+
 TEST(ParseBenchReport, FlattensEveryMetricFamily) {
   const std::string path = write_temp("BENCH_fixture.json", kReport);
   const BenchSample sample = parse_bench_report(path);

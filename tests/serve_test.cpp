@@ -300,6 +300,48 @@ TEST_F(ServeTest, ErrorStatuses) {
   EXPECT_EQ(http_request(port(), "POST", "/v1/attack", huge).status, 413);
 }
 
+// Numeric fields are whole numbers in their field's range, or the request is
+// a 400: 1e30 has no integer value, 4294967297 would wrap to ASN 1 and
+// 4294967297.5 to 1 probe, and -1 would read as 0.
+TEST_F(ServeTest, NumericFieldsMustBeIntegersInRange) {
+  const ClientResponse topo = http_request(port(), "GET", "/v1/topology");
+  const obs::JsonValue doc = obs::JsonValue::parse(topo.body);
+  const std::uint64_t victim = doc.find("baseline_sample")->items()[0].as_u64();
+  std::uint64_t attacker = doc.find("transit_sample")->items()[0].as_u64();
+  if (attacker == victim) {
+    attacker = doc.find("transit_sample")->items()[1].as_u64();
+  }
+  const std::string endpoints = "\"victim\": " + std::to_string(victim) +
+                                ", \"attacker\": " + std::to_string(attacker);
+  const auto attack = [&](const std::string& fields) {
+    return http_request(port(), "POST", "/v1/attack", "{" + fields + "}");
+  };
+  const ClientResponse ok =
+      attack(endpoints + ", \"deployment_top\": 3, \"probes\": 2");
+  EXPECT_EQ(ok.status, 200) << ok.body;
+  for (const std::string bad : {"1e30", "4294967297", "4294967297.5", "-1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(attack(endpoints + ", \"deployment_top\": " + bad).status, 400);
+    EXPECT_EQ(attack(endpoints + ", \"probes\": " + bad).status, 400);
+    EXPECT_EQ(attack(endpoints + ", \"deployment\": [" + bad + "]").status, 400);
+    EXPECT_EQ(attack("\"victim\": " + bad + ", \"attacker\": " +
+                     std::to_string(attacker))
+                  .status,
+              400);
+  }
+  // Campaign fields are 64-bit, so 4294967297 is in range there.
+  for (const char* field : {"samples", "batch", "seed", "workers",
+                            "deployment_top", "probes"}) {
+    for (const std::string bad : {"1e30", "4294967297.5", "-1"}) {
+      SCOPED_TRACE(std::string(field) + "=" + bad);
+      EXPECT_EQ(http_request(port(), "POST", "/v1/campaign",
+                             "{\"" + std::string(field) + "\": " + bad + "}")
+                    .status,
+                400);
+    }
+  }
+}
+
 TEST_F(ServeTest, StopIsIdempotentAndDrains) {
   server_->stop();
   EXPECT_FALSE(server_->running());

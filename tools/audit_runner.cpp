@@ -17,73 +17,63 @@
 // ubsan presets); any disagreement prints the scenario coordinates so it can
 // be replayed with --seed/--victim/--attacker.
 //
-// Exit status: 0 all scenarios pass, 1 any check failed, 2 usage error.
+// Exit status: 0 all scenarios pass, 1 any check failed, 2 usage or input
+// error.
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "bgp/equilibrium_engine.hpp"
 #include "bgp/generation_engine.hpp"
 #include "bgp/route_audit.hpp"
+#include "flags.hpp"
 #include "support/rng.hpp"
 #include "topology/internet_gen.hpp"
 #include "topology/metrics.hpp"
 
+using namespace bgpsim;
+
 namespace {
 
 struct Options {
-  std::uint32_t ases = 1000;
-  std::uint64_t seed = 1;
-  std::uint32_t trials = 8;
-  // Replay a single scenario instead of sampling `trials` random ones.
-  std::int64_t victim = -1;
-  std::int64_t attacker = -1;
-  bool tier1_shortest = true;
-  bool explain = false;  ///< dump per-AS detail for every disagreement
+  std::uint32_t ases;
+  std::uint64_t seed;
+  std::uint32_t trials;
+  std::optional<AsId> victim;    ///< replay this one scenario instead
+  std::optional<AsId> attacker;  ///< of `trials` random ones
+  bool tier1_shortest;
+  bool explain;  ///< dump per-AS detail for every disagreement
 };
 
-int usage() {
-  std::cerr << "usage: audit_runner [--ases N] [--seed S] [--trials T]\n"
-               "                    [--victim ID --attacker ID] [--explain]\n"
-               "                    [--no-tier1-shortest]\n";
-  return 2;
-}
+const flags::Usage kUsage{
+    "audit_runner [options]",
+    "run both route engines over hijack scenarios and check that they agree",
+    {flags::count<std::uint32_t>("ases", "topology size (default 1000)"),
+     flags::count<std::uint64_t>("seed", "topology and scenario seed (default 1)"),
+     flags::count<std::uint32_t>("trials", "random scenarios (default 8)"),
+     flags::count<AsId>("victim", "replay one scenario: victim AS id"),
+     flags::count<AsId>("attacker", "... and its attacker AS id"),
+     flags::toggle("explain", "dump per-AS detail for every disagreement"),
+     flags::toggle("no-tier1-shortest", "turn the tier-1 shortest-path rule off")}};
 
-const char* rel_name(const bgpsim::AsGraph& graph, bgpsim::AsId a, bgpsim::AsId b) {
-  const auto rel = graph.relationship(a, b);
-  if (!rel) return "none";
-  switch (*rel) {
-    case bgpsim::Rel::Provider:
-      return "provider";
-    case bgpsim::Rel::Peer:
-      return "peer";
-    case bgpsim::Rel::Customer:
-      return "customer";
-    case bgpsim::Rel::Sibling:
-      return "sibling";
-  }
-  return "?";
-}
-
-void explain_route(const bgpsim::AsGraph& graph, const char* label,
-                   const bgpsim::Route& route, bgpsim::AsId v) {
+void explain_route(const AsGraph& graph, const char* label, const Route& route,
+                   AsId v) {
   std::cout << "    " << label << ": origin=" << to_string(route.origin)
-            << " cls=" << static_cast<int>(route.cls)
-            << " len=" << route.path_len;
-  if (route.via != bgpsim::kInvalidAs) {
-    std::cout << " via=" << route.via << " (" << rel_name(graph, v, route.via)
+            << " cls=" << static_cast<int>(route.cls) << " len=" << route.path_len;
+  if (route.via != kInvalidAs) {
+    const auto rel = graph.relationship(v, route.via);
+    std::cout << " via=" << route.via << " (" << (rel ? to_string(*rel) : "none")
               << " of AS " << v << ")";
   }
   std::cout << '\n';
 }
 
-void explain_disagreements(const bgpsim::AsGraph& graph,
-                           const bgpsim::RouteTable& eq_table,
-                           const bgpsim::RouteTable& gen_table,
-                           const bgpsim::GenerationEngine& generation,
-                           const bgpsim::PolicyConfig& config) {
-  using namespace bgpsim;
+void explain_disagreements(const AsGraph& graph, const RouteTable& eq_table,
+                           const RouteTable& gen_table,
+                           const GenerationEngine& generation,
+                           const PolicyConfig& config) {
   std::uint32_t shown = 0;
   for (AsId v = 0; v < graph.num_ases(); ++v) {
     if (eq_table.routes[v].origin == gen_table.routes[v].origin) continue;
@@ -104,8 +94,7 @@ void explain_disagreements(const bgpsim::AsGraph& graph,
 struct Failure {
   std::uint32_t count = 0;
 
-  void report(const Options& opts, bgpsim::AsId victim, bgpsim::AsId attacker,
-              const std::string& what) {
+  void report(const Options& opts, AsId victim, AsId attacker, std::string_view what) {
     ++count;
     std::cout << "FAIL: " << what << "  [replay: --ases " << opts.ases
               << " --seed " << opts.seed << " --victim " << victim
@@ -113,13 +102,10 @@ struct Failure {
   }
 };
 
-void audit_scenario(const Options& opts, const bgpsim::AsGraph& graph,
-                    const bgpsim::PolicyConfig& config,
-                    bgpsim::EquilibriumEngine& equilibrium,
-                    bgpsim::GenerationEngine& generation, bgpsim::AsId victim,
-                    bgpsim::AsId attacker, Failure& failure) {
-  using namespace bgpsim;
-
+void audit_scenario(const Options& opts, const AsGraph& graph,
+                    const PolicyConfig& config, EquilibriumEngine& equilibrium,
+                    GenerationEngine& generation, AsId victim, AsId attacker,
+                    Failure& failure) {
   RouteTable eq_table;
   equilibrium.compute_hijack(victim, attacker, nullptr, eq_table);
   const AuditReport eq_report = audit_route_table(graph, eq_table);
@@ -165,38 +151,7 @@ void audit_scenario(const Options& opts, const bgpsim::AsGraph& graph,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace bgpsim;
-
-  Options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--ases" && has_value) {
-      opts.ases = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--seed" && has_value) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--trials" && has_value) {
-      opts.trials = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--victim" && has_value) {
-      opts.victim = std::strtol(argv[++i], nullptr, 10);
-    } else if (arg == "--attacker" && has_value) {
-      opts.attacker = std::strtol(argv[++i], nullptr, 10);
-    } else if (arg == "--no-tier1-shortest") {
-      opts.tier1_shortest = false;
-    } else if (arg == "--explain") {
-      opts.explain = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      return usage();
-    }
-  }
-  if ((opts.victim < 0) != (opts.attacker < 0)) return usage();
-
+int run(const Options& opts) {
   InternetGenParams params;
   params.total_ases = opts.ases;
   params.seed = opts.seed;
@@ -204,8 +159,7 @@ int main(int argc, char** argv) {
 
   PolicyConfig config;
   config.tier1_shortest_path = opts.tier1_shortest;
-  const auto tiers =
-      classify_tiers(graph, scale_degree_threshold(opts.ases, 120));
+  const auto tiers = classify_tiers(graph, scale_degree_threshold(opts.ases, 120));
   config.is_tier1 =
       std::vector<std::uint8_t>(tiers.is_tier1.begin(), tiers.is_tier1.end());
 
@@ -214,10 +168,9 @@ int main(int argc, char** argv) {
 
   Failure failure;
   std::uint32_t scenarios = 0;
-  if (opts.victim >= 0) {
-    audit_scenario(opts, graph, config, equilibrium, generation,
-                   static_cast<AsId>(opts.victim),
-                   static_cast<AsId>(opts.attacker), failure);
+  if (opts.victim) {
+    audit_scenario(opts, graph, config, equilibrium, generation, *opts.victim,
+                   *opts.attacker, failure);
     ++scenarios;
   } else {
     Rng rng(derive_seed(opts.seed, 0xa0d17ULL));
@@ -234,4 +187,26 @@ int main(int argc, char** argv) {
   std::cout << "audit_runner: " << graph.num_ases() << " ASes, " << scenarios
             << " scenario(s), " << failure.count << " failure(s)\n";
   return failure.count == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  flags::Parsed args;
+  if (const auto status = args.parse(kUsage, argc, argv, 1)) return *status;
+  const Options opts{args.count<std::uint32_t>("ases", 1000),
+                     args.count<std::uint64_t>("seed", 1),
+                     args.count<std::uint32_t>("trials", 8),
+                     args.count<AsId>("victim"),
+                     args.count<AsId>("attacker"),
+                     !args.has("no-tier1-shortest"), args.has("explain")};
+  if (opts.victim.has_value() != opts.attacker.has_value()) {
+    return flags::usage_error(kUsage, "--victim and --attacker go together");
+  }
+  try {
+    return run(opts);
+  } catch (const std::exception& e) {
+    std::cerr << "audit_runner: " << e.what() << '\n';
+    return 2;
+  }
 }

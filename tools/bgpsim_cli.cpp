@@ -1,84 +1,15 @@
-// bgpsim — command-line front end to the library.
-//
-//   bgpsim generate --ases N [--seed S] --out topo.txt
-//       synthesize an Internet and export it in CAIDA serial-1 format
-//   bgpsim info (--topo file | --ases N [--seed S])
-//       topology statistics: tiers, transit share, depth histogram
-//   bgpsim attack (--topo file | --ases N) --victim ASN --attacker ASN
-//                 [--subprefix] [--forged] [--core K] [--explain ASN]
-//                 [--trace-pollution]
-//       simulate one hijack, optionally with ROV deployed at the top-K core;
-//       --explain replays it on the generation engine and prints the named
-//       AS's per-generation route-decision history (candidates, rank, why
-//       displaced); --trace-pollution records infection provenance and
-//       appends a pollution_trace JSON block (depth histogram, choke
-//       points, deployment frontier) — equivalent to BGPSIM_PROVENANCE=1
-//   bgpsim attribution (--topo file | --ases N) --victim ASN --attacker ASN
-//                      [--core K] [--top K] [--cuts N] [--json]
-//       traced exact-prefix hijack plus choke-point attribution: rank
-//       transit ASes by infection-subtree size and (for the top N, default
-//       3) re-run the attack with each added to the validator set to report
-//       the exact counterfactual pollution cut
-//   bgpsim sweep (--topo file | --ases N) --victim ASN [--core K]
-//       attack the victim from every transit AS; print the profile
-//   bgpsim detect (--topo file | --ases N) [--attacks N] [--probes K]
-//       random transit attacks vs a top-K probe set; print the miss rate
-//   bgpsim promcheck --file metrics.prom
-//       validate a Prometheus text exposition file with the in-repo parser
-//       (the `promtool check metrics` stand-in CI uses); prints a summary
-//   bgpsim snapshot save (--topo file | --ases N [--seed S]) --out world.snap
-//                        [--targets all|transit|ASN,ASN,...]
-//       converge the legitimate baseline for each target AS and persist
-//       topology + params + baselines as a versioned binary snapshot
-//       (default targets: every transit AS)
-//   bgpsim snapshot info --file world.snap [--json]
-//       header and section summary of a snapshot
-//   bgpsim snapshot load --file world.snap
-//       load + validate, then recompute one stored baseline cold and
-//       compare route-for-route (an end-to-end integrity check)
-//   bgpsim campaign (--snapshot world.snap | --topo file | --ases N)
-//                   [--samples N] [--target-ci X] [--batch N] [--workers N]
-//                   [--victims all|transit|ASN,ASN,...] [--deployment-top K]
-//                   [--probes K] [--sample-seed S]
-//       streaming Monte-Carlo hijack-impact campaign: stratified
-//       (attacker, victim) sampling over the warm-start engine, pooled
-//       pollution-fraction estimate with a normal-approximation CI, early
-//       stop once the CI half-width reaches --target-ci; prints the JSON
-//       report (schema bgpsim.campaign.v1) to stdout. With --snapshot the
-//       victim pool is the snapshot's baseline targets; otherwise baselines
-//       for --victims (default: every transit AS) are converged first
-//   bgpsim serve --snapshot world.snap [--port N] [--workers N]
-//                [--max-body BYTES] [--access-log file.ndjson]
-//       long-lived loopback query service: POST /v1/attack, GET
-//       /v1/topology, GET /metrics, GET /healthz, GET /statusz; drains and
-//       exits 0 on SIGTERM/SIGINT. --access-log writes one NDJSON record
-//       per request (equivalent to BGPSIM_ACCESS_LOG=<file>; slow-request
-//       capture via BGPSIM_SLOW_REQ_US)
-//
-// Observability (any command):
-//   --obs [file]       dump the metrics-registry snapshot after the command:
-//                      a human summary to stdout (time.* histograms as
-//                      p50/p90/p99), or full JSON when <file> is given
-//   --trace <file>     write a chrome://tracing / Perfetto trace of the run
-//                      (equivalent to BGPSIM_TRACE=<file>)
-//   --eventlog <file>  write the structured NDJSON event log there
-//                      (equivalent to BGPSIM_EVENTLOG=<file>)
-//   --progress         heartbeat status line on stderr while the command
-//                      runs (equivalent to BGPSIM_PROGRESS_STDERR=1); the
-//                      sampler also honors BGPSIM_PROM_FILE/BGPSIM_PROM_PORT
-//   --profile <file>   sample the command with the in-process SIGPROF CPU
-//                      profiler and write a collapsed-stack (folded) profile
-//                      there on exit — feed it to flamegraph.pl, speedscope,
-//                      or bgpsim-profview (equivalent to
-//                      BGPSIM_PROFILE=<file>; rate via BGPSIM_PROFILE_HZ)
+// bgpsim — command-line front end to the library. `bgpsim --help` lists the
+// commands; `bgpsim <command> --help` prints the flags one command takes.
 #include <poll.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -91,6 +22,7 @@
 #include "bgp/introspect.hpp"
 #include "core/scenario.hpp"
 #include "defense/deployment.hpp"
+#include "flags.hpp"
 #include "obs/obs.hpp"
 #include "obs/promtext.hpp"
 #include "serve/query_server.hpp"
@@ -103,69 +35,56 @@
 #include "topology/caida_writer.hpp"
 
 using namespace bgpsim;
+using flags::Parsed;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-
-  std::optional<std::uint64_t> number(const std::string& key) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return std::nullopt;
-    return parse_u64(it->second);
-  }
-
-  std::optional<std::string> text(const std::string& key) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return std::nullopt;
-    return it->second;
-  }
-
-  bool flag(const std::string& key) const { return options.contains(key); }
-};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  int first_option = 2;
-  if (argc >= 2) args.command = argv[1];
-  // `snapshot` takes a subcommand word: fold "snapshot save" into the
-  // command key so option parsing stays uniform.
-  if (args.command == "snapshot" && argc >= 3 &&
-      std::string(argv[2]).rfind("--", 0) != 0) {
-    args.command += std::string("-") + argv[2];
-    first_option = 3;
-  }
-  for (int i = first_option; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) throw ConfigError("unexpected argument: " + key);
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.options[key] = argv[++i];
-    } else {
-      args.options[key] = "";  // boolean flag
-    }
-  }
-  return args;
-}
-
-Scenario load_scenario(const Args& args) {
+Scenario load_scenario(const Parsed& args) {
   ScenarioParams params;
-  if (const auto path = args.text("topo")) {
-    return Scenario::load_caida(*path, params);
-  }
-  params.topology.total_ases =
-      static_cast<std::uint32_t>(args.number("ases").value_or(4000));
-  params.topology.seed = args.number("seed").value_or(42);
+  if (const auto path = args.text("topo")) return Scenario::load_caida(*path, params);
+  params.topology.total_ases = args.count<std::uint32_t>("ases", 4000);
+  params.topology.seed = args.count<std::uint64_t>("seed", 42);
   return Scenario::generate(params);
 }
 
-int cmd_generate(const Args& args) {
+/// The dense id of the AS a required ASN flag names.
+AsId require_as(const AsGraph& g, const Parsed& args, const std::string& flag) {
+  const auto asn = args.count<Asn>(flag);
+  if (!asn) throw ConfigError("--" + flag + " <ASN> is required");
+  return g.require(*asn);
+}
+
+/// ROV at the --core top-K ASes by degree, when given.
+std::optional<FilterSet> core_filters(const AsGraph& g, const Parsed& args) {
+  const auto core = args.count<std::size_t>("core");
+  if (!core) return std::nullopt;
+  return to_filter_set(g, top_k_deployment(g, *core));
+}
+
+/// Resolve an `all|transit|ASN,ASN,...` flag (default transit) to dense ids.
+std::vector<AsId> as_list(const Scenario& scenario, const Parsed& args,
+                          const std::string& flag) {
+  const std::string spec = args.text(flag).value_or("transit");
+  if (spec == "transit" || spec.empty()) return scenario.transit();
+  std::vector<AsId> ids(spec == "all" ? scenario.graph().num_ases() : 0);
+  std::iota(ids.begin(), ids.end(), AsId{0});
+  if (spec == "all") return ids;
+  for (const std::string_view field : split(spec, ',')) {
+    const auto asn = parse_u64(trim(field));
+    if (!asn || *asn > std::numeric_limits<Asn>::max()) {
+      throw ConfigError("bad --" + flag + " entry: " + std::string(field));
+    }
+    ids.push_back(scenario.graph().require(static_cast<Asn>(*asn)));
+  }
+  return ids;
+}
+
+int cmd_generate(const Parsed& args) {
   const auto out = args.text("out");
   if (!out) throw ConfigError("generate requires --out <file>");
   InternetGenParams params;
-  params.total_ases = static_cast<std::uint32_t>(args.number("ases").value_or(4000));
-  params.seed = args.number("seed").value_or(42);
+  params.total_ases = args.count<std::uint32_t>("ases", 4000);
+  params.seed = args.count<std::uint64_t>("seed", 42);
   const AsGraph graph = generate_internet(params);
   save_caida_file(*out, graph);
   std::printf("wrote %u ASes / %llu links to %s\n", graph.num_ases(),
@@ -173,7 +92,7 @@ int cmd_generate(const Args& args) {
   return 0;
 }
 
-int cmd_info(const Args& args) {
+int cmd_info(const Parsed& args) {
   const Scenario scenario = load_scenario(args);
   const AsGraph& g = scenario.graph();
   std::printf("ases: %u  links: %llu  (E/N %.2f)\n", g.num_ases(),
@@ -208,95 +127,68 @@ void print_pollution_trace(const AsGraph& g, const HijackSimulator& sim,
               attribution_trace_json(g, report).c_str());
 }
 
-int cmd_attack(const Args& args) {
+int cmd_attack(const Parsed& args) {
   const Scenario scenario = load_scenario(args);
   const AsGraph& g = scenario.graph();
-  const auto victim_asn = args.number("victim");
-  const auto attacker_asn = args.number("attacker");
-  if (!victim_asn || !attacker_asn) {
-    throw ConfigError("attack requires --victim and --attacker ASNs");
-  }
+  const AsId victim = require_as(g, args, "victim");
+  const AsId attacker = require_as(g, args, "attacker");
   BGPSIM_PROGRESS(1);
   BGPSIM_PROGRESS_PHASE("cli.attack");
   HijackSimulator sim = scenario.make_simulator();
-  if (const auto core = args.number("core")) {
-    sim.set_validators(
-        to_filter_set(g, top_k_deployment(g, *core)).bitset());
-  }
+  if (const auto core = core_filters(g, args)) sim.set_validators(core->bitset());
   // Constructed only when tracing (the edge buffer is megabytes).
   std::optional<obs::ProvenanceRecorder> recorder;
-  if (args.flag("trace-pollution")) {
+  if (args.has("trace-pollution")) {
     recorder.emplace();
     sim.set_provenance(&*recorder);
   }
   AttackOptions options;
-  if (args.flag("subprefix")) options.kind = AttackKind::SubPrefix;
-  options.forged_origin = args.flag("forged");
+  if (args.has("subprefix")) options.kind = AttackKind::SubPrefix;
+  options.forged_origin = args.has("forged");
 
-  if (const auto explain_asn = args.number("explain")) {
+  if (args.has("explain")) {
     if (options.forged_origin || options.kind == AttackKind::SubPrefix) {
       throw ConfigError("--explain supports the plain exact-prefix attack");
     }
-    const AsId watched = g.require(static_cast<Asn>(*explain_asn));
+    const AsId watched = require_as(g, args, "explain");
     DecisionHistory history;
-    const auto result =
-        sim.attack_explained(g.require(static_cast<Asn>(*victim_asn)),
-                             g.require(static_cast<Asn>(*attacker_asn)),
-                             watched, history);
-    std::printf("exact-prefix hijack of AS%llu by AS%llu "
+    const auto result = sim.attack_explained(victim, attacker, watched, history);
+    std::printf("exact-prefix hijack of AS%u by AS%u "
                 "(generation engine, %u generations):\n",
-                static_cast<unsigned long long>(*victim_asn),
-                static_cast<unsigned long long>(*attacker_asn),
-                result.generations);
+                g.asn(victim), g.asn(attacker), result.generations);
     std::printf("  polluted: %u of %u ASes (%.1f%%)\n\n", result.polluted_ases,
                 g.num_ases(), 100.0 * result.polluted_ases / g.num_ases());
     std::fputs(render_decision_history(g, history).c_str(), stdout);
-    if (recorder) {
-      print_pollution_trace(g, sim, g.require(static_cast<Asn>(*victim_asn)),
-                            g.require(static_cast<Asn>(*attacker_asn)));
-    }
+    if (recorder) print_pollution_trace(g, sim, victim, attacker);
     return 0;
   }
 
-  const auto result =
-      sim.attack_ex(g.require(static_cast<Asn>(*victim_asn)),
-                    g.require(static_cast<Asn>(*attacker_asn)), options);
-  std::printf("%s%s hijack of AS%llu by AS%llu:\n",
+  const auto result = sim.attack_ex(victim, attacker, options);
+  std::printf("%s%s hijack of AS%u by AS%u:\n",
               options.forged_origin ? "forged-origin " : "",
               options.kind == AttackKind::SubPrefix ? "sub-prefix" : "exact-prefix",
-              static_cast<unsigned long long>(*victim_asn),
-              static_cast<unsigned long long>(*attacker_asn));
+              g.asn(victim), g.asn(attacker));
   std::printf("  polluted: %u of %u ASes (%.1f%%), %.1f%% of address space\n",
               result.polluted_ases, g.num_ases(),
               100.0 * result.polluted_ases / g.num_ases(),
               100.0 * result.polluted_address_fraction);
-  if (recorder) {
-    print_pollution_trace(g, sim, result.target, result.attacker);
-  }
+  if (recorder) print_pollution_trace(g, sim, result.target, result.attacker);
   return 0;
 }
 
-int cmd_attribution(const Args& args) {
+int cmd_attribution(const Parsed& args) {
   const Scenario scenario = load_scenario(args);
   const AsGraph& g = scenario.graph();
-  const auto victim_asn = args.number("victim");
-  const auto attacker_asn = args.number("attacker");
-  if (!victim_asn || !attacker_asn) {
-    throw ConfigError("attribution requires --victim and --attacker ASNs");
-  }
-  const auto top = static_cast<std::size_t>(args.number("top").value_or(10));
-  const auto cuts = static_cast<std::size_t>(args.number("cuts").value_or(3));
-  const AsId victim = g.require(static_cast<Asn>(*victim_asn));
-  const AsId attacker = g.require(static_cast<Asn>(*attacker_asn));
+  const AsId victim = require_as(g, args, "victim");
+  const AsId attacker = require_as(g, args, "attacker");
+  const auto top = args.count<std::size_t>("top", 10);
+  const auto cuts = args.count<std::size_t>("cuts", 3);
 
   // The traced attack plus one exact counterfactual re-run per cut.
   BGPSIM_PROGRESS(1 + (cuts < top ? cuts : top));
   BGPSIM_PROGRESS_PHASE("cli.attribution");
   HijackSimulator sim = scenario.make_simulator();
-  if (const auto core = args.number("core")) {
-    sim.set_validators(
-        to_filter_set(g, top_k_deployment(g, *core)).bitset());
-  }
+  if (const auto core = core_filters(g, args)) sim.set_validators(core->bitset());
   obs::ProvenanceRecorder recorder;
   sim.set_provenance(&recorder);
   sim.attack(victim, attacker);
@@ -306,16 +198,14 @@ int cmd_attribution(const Args& args) {
   annotate_counterfactual_cuts(g, scenario.sim_config(), sim.validators(),
                                report, cuts);
 
-  if (args.flag("json")) {
+  if (args.has("json")) {
     std::printf("%s\n", attribution_trace_json(g, report).c_str());
     return 0;
   }
 
-  std::printf("attribution: AS%llu hijacked by AS%llu — %u polluted ASes, "
+  std::printf("attribution: AS%u hijacked by AS%u — %u polluted ASes, "
               "max depth %u\n",
-              static_cast<unsigned long long>(*victim_asn),
-              static_cast<unsigned long long>(*attacker_asn), report.polluted,
-              report.max_depth);
+              g.asn(victim), g.asn(attacker), report.polluted, report.max_depth);
   std::printf("  trace: %llu edges recorded, %llu dropped%s\n",
               static_cast<unsigned long long>(report.edges_recorded),
               static_cast<unsigned long long>(report.edges_dropped),
@@ -346,23 +236,17 @@ int cmd_attribution(const Args& args) {
   return 0;
 }
 
-int cmd_sweep(const Args& args) {
+int cmd_sweep(const Parsed& args) {
   const Scenario scenario = load_scenario(args);
   const AsGraph& g = scenario.graph();
-  const auto victim_asn = args.number("victim");
-  if (!victim_asn) throw ConfigError("sweep requires --victim ASN");
-  const AsId victim = g.require(static_cast<Asn>(*victim_asn));
+  const AsId victim = require_as(g, args, "victim");
 
   VulnerabilityAnalyzer analyzer(g, scenario.sim_config());
-  std::optional<FilterSet> filters;
-  if (const auto core = args.number("core")) {
-    filters = to_filter_set(g, top_k_deployment(g, *core));
-  }
+  const std::optional<FilterSet> filters = core_filters(g, args);
   BGPSIM_PROGRESS(scenario.transit().size());
   const auto curve = analyzer.sweep(victim, scenario.transit(),
                                     filters ? &*filters : nullptr);
-  std::printf("AS%llu (depth %u): %zu transit attackers\n",
-              static_cast<unsigned long long>(*victim_asn),
+  std::printf("AS%u (depth %u): %zu transit attackers\n", g.asn(victim),
               scenario.depth()[victim], curve.attackers.size());
   std::printf("  mean pollution %.1f  median %.0f  max %.0f\n",
               curve.stats.mean(),
@@ -375,14 +259,14 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-int cmd_detect(const Args& args) {
+int cmd_detect(const Parsed& args) {
   const Scenario scenario = load_scenario(args);
   const AsGraph& g = scenario.graph();
-  const auto attacks = static_cast<std::uint32_t>(args.number("attacks").value_or(1000));
-  const auto k = args.number("probes").value_or(scenario.scaled_count(62));
+  const auto attacks = args.count<std::uint32_t>("attacks", 1000);
+  const auto k = args.count<std::size_t>("probes", scenario.scaled_count(62));
 
   DetectorExperiment experiment(g, scenario.sim_config());
-  Rng rng(args.number("seed").value_or(42));
+  Rng rng(args.count<std::uint64_t>("seed", 42));
   BGPSIM_PROGRESS(attacks);
   const auto samples = experiment.sample_transit_attacks(attacks, rng);
   const std::vector<ProbeSet> probe_sets{ProbeSet::top_k(g, k)};
@@ -398,7 +282,7 @@ int cmd_detect(const Args& args) {
   return 0;
 }
 
-int cmd_promcheck(const Args& args) {
+int cmd_promcheck(const Parsed& args) {
   const auto file = args.text("file");
   if (!file) throw ConfigError("promcheck requires --file <metrics.prom>");
   std::ifstream in(*file, std::ios::binary);
@@ -407,10 +291,7 @@ int cmd_promcheck(const Args& args) {
   buffer << in.rdbuf();
   const obs::RegistrySnapshot snap = obs::parse_prom_text(buffer.str());
   std::uint64_t samples = 0;
-  for (const auto& [name, hist] : snap.histograms) {
-    (void)name;
-    samples += hist.count;
-  }
+  for (const auto& entry : snap.histograms) samples += entry.second.count;
   std::printf("%s: ok — %zu counters, %zu gauges, %zu histograms "
               "(%llu observations)\n",
               file->c_str(), snap.counters.size(), snap.gauges.size(),
@@ -418,31 +299,12 @@ int cmd_promcheck(const Args& args) {
   return 0;
 }
 
-/// Resolve the --targets option into dense ids: "all", "transit" (default),
-/// or a comma-separated ASN list.
-std::vector<AsId> snapshot_targets(const Scenario& scenario, const Args& args) {
-  const std::string spec = args.text("targets").value_or("transit");
-  if (spec == "transit" || spec.empty()) return scenario.transit();
-  if (spec == "all") {
-    std::vector<AsId> all(scenario.graph().num_ases());
-    for (AsId v = 0; v < scenario.graph().num_ases(); ++v) all[v] = v;
-    return all;
-  }
-  std::vector<AsId> targets;
-  for (const std::string_view field : split(spec, ',')) {
-    const auto asn = parse_u64(trim(field));
-    if (!asn) throw ConfigError("bad --targets entry: " + std::string(field));
-    targets.push_back(scenario.graph().require(static_cast<Asn>(*asn)));
-  }
-  return targets;
-}
-
-int cmd_snapshot_save(const Args& args) {
+int cmd_snapshot_save(const Parsed& args) {
   const auto out = args.text("out");
   if (!out) throw ConfigError("snapshot save requires --out <file>");
   const Scenario scenario = load_scenario(args);
 
-  const std::vector<AsId> targets = snapshot_targets(scenario, args);
+  const std::vector<AsId> targets = as_list(scenario, args, "targets");
   BGPSIM_PROGRESS(targets.size());
   BGPSIM_PROGRESS_PHASE("snapshot.baselines");
 
@@ -463,12 +325,12 @@ int cmd_snapshot_save(const Args& args) {
   return 0;
 }
 
-int cmd_snapshot_info(const Args& args) {
+int cmd_snapshot_info(const Parsed& args) {
   const auto file = args.text("file");
   if (!file) throw ConfigError("snapshot info requires --file <file>");
   const store::Snapshot snapshot = store::load_snapshot(*file);
   const store::SnapshotInfo info = store::describe_snapshot(snapshot);
-  if (args.flag("json")) {
+  if (args.has("json")) {
     std::printf("%s\n", store::snapshot_info_json(info).c_str());
     return 0;
   }
@@ -487,7 +349,7 @@ int cmd_snapshot_info(const Args& args) {
   return 0;
 }
 
-int cmd_snapshot_load(const Args& args) {
+int cmd_snapshot_load(const Parsed& args) {
   const auto file = args.text("file");
   if (!file) throw ConfigError("snapshot load requires --file <file>");
   const store::Snapshot snapshot = store::load_snapshot(*file);
@@ -520,32 +382,16 @@ int cmd_snapshot_load(const Args& args) {
   return 0;
 }
 
-/// Parse a decimal option (e.g. --target-ci 0.005); absent -> fallback.
-double parse_fraction_option(const Args& args, const std::string& key,
-                             double fallback) {
-  const auto text = args.text(key);
-  if (!text || text->empty()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(text->c_str(), &end);
-  if (end == nullptr || *end != '\0' || value < 0.0 || value > 1.0) {
-    throw ConfigError("bad --" + key + " value: " + *text +
-                      " (want a fraction in [0, 1])");
-  }
-  return value;
-}
-
-int cmd_campaign(const Args& args) {
+int cmd_campaign(const Parsed& args) {
   campaign::CampaignSpec spec;
-  spec.seed = args.number("sample-seed").value_or(1);
-  spec.sample_budget = args.number("samples").value_or(100000);
-  spec.target_ci = parse_fraction_option(args, "target-ci", 0.0);
-  spec.batch = args.number("batch").value_or(0);
-  spec.workers = static_cast<unsigned>(args.number("workers").value_or(1));
-  spec.deployment_top =
-      static_cast<std::uint32_t>(args.number("deployment-top").value_or(0));
-  spec.probes = static_cast<std::uint32_t>(args.number("probes").value_or(0));
+  spec.seed = args.count<std::uint64_t>("sample-seed", 1);
+  spec.sample_budget = args.count<std::uint64_t>("samples", 100000);
+  spec.target_ci = args.fraction("target-ci", 0.0);
+  spec.batch = args.count<std::uint64_t>("batch", 0);
+  spec.workers = std::max(1u, args.count<unsigned>("workers", 1));
+  spec.deployment_top = args.count<std::uint32_t>("deployment-top", 0);
+  spec.probes = args.count<std::uint32_t>("probes", 0);
   if (spec.sample_budget == 0) throw ConfigError("--samples must be positive");
-  if (spec.workers == 0) spec.workers = 1;
 
   // Scenario + victim-pool baselines: reuse a snapshot's stored baselines
   // verbatim, or converge them here for the generated/loaded topology.
@@ -558,25 +404,7 @@ int cmd_campaign(const Args& args) {
         std::move(snapshot.baselines));
   } else {
     scenario.emplace(load_scenario(args));
-    std::vector<AsId> victims;
-    {
-      const std::string spec_text = args.text("victims").value_or("transit");
-      if (spec_text == "transit" || spec_text.empty()) {
-        victims = scenario->transit();
-      } else if (spec_text == "all") {
-        victims.resize(scenario->graph().num_ases());
-        for (AsId v = 0; v < scenario->graph().num_ases(); ++v) victims[v] = v;
-      } else {
-        for (const std::string_view field : split(spec_text, ',')) {
-          const auto asn = parse_u64(trim(field));
-          if (!asn) {
-            throw ConfigError("bad --victims entry: " + std::string(field));
-          }
-          victims.push_back(
-              scenario->graph().require(static_cast<Asn>(*asn)));
-        }
-      }
-    }
+    const std::vector<AsId> victims = as_list(*scenario, args, "victims");
     BGPSIM_PROGRESS(victims.size());
     BGPSIM_PROGRESS_PHASE("campaign.baselines");
     baselines = std::make_shared<const store::BaselineStore>(
@@ -599,20 +427,18 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 
 void serve_signal_handler(int) { g_serve_stop = 1; }
 
-int cmd_serve(const Args& args) {
+int cmd_serve(const Parsed& args) {
   const auto snapshot_path = args.text("snapshot");
   if (!snapshot_path) throw ConfigError("serve requires --snapshot <file>");
-  const auto workers =
-      static_cast<unsigned>(args.number("workers").value_or(4));
+  const auto workers = args.count<unsigned>("workers", 4);
 
   serve::WhatIfService service(store::load_snapshot(*snapshot_path), workers);
 
   serve::QueryServerOptions options;
-  options.port = static_cast<std::uint16_t>(args.number("port").value_or(0));
+  options.port = args.count<std::uint16_t>("port", 0);
   options.workers = workers;
-  if (const auto max_body = args.number("max-body")) {
-    options.limits.max_body_bytes = static_cast<std::size_t>(*max_body);
-  }
+  options.limits.max_body_bytes =
+      args.count<std::size_t>("max-body", options.limits.max_body_bytes);
   if (const auto access_log = args.text("access-log");
       access_log && !access_log->empty()) {
     serve::AccessLog::instance().set_output(*access_log);
@@ -638,15 +464,6 @@ int cmd_serve(const Args& args) {
   server.stop();
   std::printf("drained, exiting\n");
   return 0;
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: bgpsim <generate|info|attack|attribution|sweep|detect"
-               "|promcheck|snapshot save|snapshot info|snapshot load|campaign"
-               "|serve> [options]\n"
-               "see the header of tools/bgpsim_cli.cpp for details\n");
-  return 2;
 }
 
 /// Dump the metrics-registry snapshot after a command ran under --obs:
@@ -691,34 +508,134 @@ void emit_obs_snapshot(const std::string& destination) {
   }
 }
 
-int run_command(const Args& args) {
-  if (args.command == "generate") return cmd_generate(args);
-  if (args.command == "info") return cmd_info(args);
-  if (args.command == "attack") return cmd_attack(args);
-  if (args.command == "attribution") return cmd_attribution(args);
-  if (args.command == "sweep") return cmd_sweep(args);
-  if (args.command == "detect") return cmd_detect(args);
-  if (args.command == "promcheck") return cmd_promcheck(args);
-  if (args.command == "snapshot-save") return cmd_snapshot_save(args);
-  if (args.command == "snapshot-info") return cmd_snapshot_info(args);
-  if (args.command == "snapshot-load") return cmd_snapshot_load(args);
-  if (args.command == "campaign") return cmd_campaign(args);
-  if (args.command == "serve") return cmd_serve(args);
-  return usage();
+using flags::count;
+using flags::text;
+using flags::toggle;
+
+/// A command's rows: its own, then --topo/--ases/--seed when it builds a
+/// topology, then the observability rows every command takes.
+std::vector<flags::Flag> rows(std::initializer_list<flags::Flag> own,
+                              bool topology = false) {
+  std::vector<flags::Flag> out(own);
+  if (topology) {
+    out.insert(out.end(),
+               {text("topo", "load this CAIDA serial-1 topology file"),
+                count<std::uint32_t>("ases", "else synthesize N ASes (default 4000)"),
+                count<std::uint64_t>("seed", "synthetic topology seed (default 42)")});
+  }
+  out.insert(out.end(),
+             {{"obs", flags::Kind::OptionalText,
+               "print the metrics snapshot after the command, or save it as JSON"},
+              text("trace", "write a Perfetto trace there (as BGPSIM_TRACE)"),
+              text("eventlog", "write the NDJSON event log there (as BGPSIM_EVENTLOG)"),
+              toggle("progress", "heartbeat on stderr (as BGPSIM_PROGRESS_STDERR=1)"),
+              text("profile", "write a folded CPU profile there (as BGPSIM_PROFILE)")});
+  return out;
+}
+
+struct Command {
+  std::string_view name;
+  int (*run)(const Parsed&);
+  std::string_view about;
+  std::vector<flags::Flag> table;
+};
+
+const std::vector<Command>& commands() {
+  const auto victim = count<Asn>("victim", "ASN of the prefix owner (required)");
+  const auto attacker = count<Asn>("attacker", "ASN of the hijacker (required)");
+  const auto core = count<std::size_t>("core", "ROV at the top-K ASes by degree");
+  const auto out = text("out", "file to write (required)");
+  const auto file = text("file", "file to read (required)");
+  const auto json = toggle("json", "print JSON");
+  static const std::vector<Command> kCommands = {
+      {"generate", cmd_generate, "synthesize an Internet; write it as CAIDA serial-1",
+       rows({out, count<std::uint32_t>("ases", "number of ASes (default 4000)"),
+             count<std::uint64_t>("seed", "topology seed (default 42)")})},
+      {"info", cmd_info, "topology statistics: tiers, transit share, depth histogram",
+       rows({}, true)},
+      {"attack", cmd_attack, "simulate one hijack and print its pollution",
+       rows({victim, attacker, core, toggle("subprefix", "sub-prefix hijack"),
+             toggle("forged", "forged-origin hijack"),
+             count<Asn>("explain", "print this AS's route decisions, generation "
+                                   "by generation"),
+             toggle("trace-pollution", "append a pollution_trace JSON block")},
+            true)},
+      {"attribution", cmd_attribution, "traced hijack and its ranked choke points",
+       rows({victim, attacker, core,
+             count<std::size_t>("top", "choke points to list (default 10)"),
+             count<std::size_t>("cuts", "exact cuts for the top N (default 3)"), json},
+            true)},
+      {"sweep", cmd_sweep, "attack the victim from every transit AS",
+       rows({victim, core}, true)},
+      {"detect", cmd_detect, "random transit attacks vs a top-K probe set",
+       rows({count<std::uint32_t>("attacks", "attacks to sample (default 1000)"),
+             count<std::size_t>("probes", "probes (default 62 at full scale)")},
+            true)},
+      {"promcheck", cmd_promcheck, "validate a Prometheus text exposition file",
+       rows({file})},
+      {"snapshot save", cmd_snapshot_save, "converge baselines; write a snapshot",
+       rows({out, text("targets", "all|transit|ASN,ASN,... (default transit)")},
+            true)},
+      {"snapshot info", cmd_snapshot_info, "summary of a snapshot", rows({file, json})},
+      {"snapshot load", cmd_snapshot_load,
+       "load a snapshot; check one baseline against a cold convergence", rows({file})},
+      {"campaign", cmd_campaign, "Monte-Carlo hijack-impact campaign (JSON report)",
+       rows({text("snapshot", "sample this snapshot's baseline targets"),
+             text("victims", "else all|transit|ASN,ASN,... (default transit)"),
+             count<std::uint64_t>("samples", "sample budget (default 100000)"),
+             flags::fraction("target-ci", "stop at this CI half-width", 1),
+             count<std::uint64_t>("batch", "samples per round (default: auto)"),
+             count<unsigned>("workers", "worker threads (default 1)"),
+             count<std::uint32_t>("deployment-top", "ROV at the top-K ASes"),
+             count<std::uint32_t>("probes", "top-K probe set for detection"),
+             count<std::uint64_t>("sample-seed", "sampling seed (default 1)")},
+            true)},
+      {"serve", cmd_serve, "loopback what-if service; drains on SIGTERM/SIGINT",
+       rows({text("snapshot", "snapshot to serve (required)"),
+             count<std::uint16_t>("port", "port on 127.0.0.1 (default 0: any)"),
+             count<unsigned>("workers", "worker threads (default 4)"),
+             count<std::size_t>("max-body", "largest request body in bytes"),
+             text("access-log", "NDJSON access log (as BGPSIM_ACCESS_LOG)")})},
+  };
+  return kCommands;
+}
+
+int list_commands(std::FILE* to) {
+  std::fprintf(to, "usage: bgpsim <command> [options]\ncommands:\n");
+  for (const Command& c : commands()) {
+    std::fprintf(to, "  %-14s %s\n", std::string(c.name).c_str(),
+                 std::string(c.about).c_str());
+  }
+  std::fprintf(to, "run `bgpsim <command> --help` for the flags of one command\n");
+  return to == stdout ? 0 : 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string name = argc > 1 ? argv[1] : "";
+  if (name == "--help" || name == "-h") return list_commands(stdout);
+  if (name == "snapshot" && argc > 2) name += std::string(" ") + argv[2];
+  const auto command =
+      std::find_if(commands().begin(), commands().end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (command == commands().end()) {
+    if (!name.empty()) std::fprintf(stderr, "error: no command '%s'\n", name.c_str());
+    return list_commands(stderr);
+  }
+  const flags::Usage usage{"bgpsim " + name + " [options]", command->about,
+                           command->table};
+  Parsed args;
+  const int first = name.find(' ') == std::string::npos ? 2 : 3;
+  if (const auto status = args.parse(usage, argc, argv, first)) return *status;
   try {
-    const Args args = parse_args(argc, argv);
     if (const auto trace = args.text("trace"); trace && !trace->empty()) {
       obs::TraceSink::instance().set_output(*trace);
     }
     if (const auto eventlog = args.text("eventlog"); eventlog && !eventlog->empty()) {
       obs::EventLogSink::instance().set_output(*eventlog);
     }
-    if (args.flag("progress")) obs::heartbeat_force_stderr(true);
+    if (args.has("progress")) obs::heartbeat_force_stderr(true);
     if (const auto profile = args.text("profile"); profile && !profile->empty()) {
       obs::profiler_start(*profile,
                           static_cast<unsigned>(env_u64("BGPSIM_PROFILE_HZ",
@@ -727,13 +644,13 @@ int main(int argc, char** argv) {
       obs::profiler_start_from_env();  // --profile wins over BGPSIM_PROFILE
     }
     obs::heartbeat_start();  // no-op unless a telemetry sink is configured
-    const int status = run_command(args);
+    const int status = command->run(args);
     obs::heartbeat_stop();
     obs::profiler_stop();  // writes the folded profile named by --profile
-    if (args.flag("obs")) emit_obs_snapshot(args.text("obs").value_or(""));
+    if (args.has("obs")) emit_obs_snapshot(*args.text("obs"));
     obs::flush_trace();
     return status;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -58,6 +58,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -65,7 +66,10 @@
 #include <string_view>
 #include <vector>
 
+#include "flags.hpp"
+
 namespace fs = std::filesystem;
+namespace flags = bgpsim::flags;
 
 namespace {
 
@@ -350,10 +354,6 @@ std::string generic_rel(const fs::path& p, const fs::path& root) {
   return rel.generic_string();
 }
 
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
 /// True when `token` occurs in `line` as a whole identifier (not a suffix of
 /// a longer name like static_assert or BGPSIM_ASSERT).
 bool has_identifier(const std::string& line, const std::string& token) {
@@ -410,22 +410,22 @@ FileContext classify(const fs::path& path, const fs::path& root) {
   FileContext ctx;
   ctx.rel = generic_rel(path, root);
   ctx.is_header = has_extension(path, {".hpp", ".h"});
-  const bool is_fixture = starts_with(ctx.rel, "tests/lint_fixtures/");
-  ctx.is_library = starts_with(ctx.rel, "src/") || is_fixture;
+  const bool is_fixture = ctx.rel.starts_with("tests/lint_fixtures/");
+  ctx.is_library = ctx.rel.starts_with("src/") || is_fixture;
   ctx.is_assert_home = ctx.rel == "src/support/assert.hpp";
-  ctx.is_rng_home = starts_with(ctx.rel, "src/support/rng");
-  ctx.is_obs_home = starts_with(ctx.rel, "src/obs/");
-  ctx.is_thread_home = ctx.is_obs_home || starts_with(ctx.rel, "src/net/") ||
-                       starts_with(ctx.rel, "src/serve/") ||
-                       starts_with(ctx.rel, "src/support/parallel");
-  ctx.is_json_io_home = ctx.is_obs_home || starts_with(ctx.rel, "src/store/");
-  ctx.is_serve = starts_with(ctx.rel, "src/serve/") ||
-                 starts_with(ctx.rel, "tests/lint_fixtures/serve_logging");
+  ctx.is_rng_home = ctx.rel.starts_with("src/support/rng");
+  ctx.is_obs_home = ctx.rel.starts_with("src/obs/");
+  ctx.is_thread_home = ctx.is_obs_home || ctx.rel.starts_with("src/net/") ||
+                       ctx.rel.starts_with("src/serve/") ||
+                       ctx.rel.starts_with("src/support/parallel");
+  ctx.is_json_io_home = ctx.is_obs_home || ctx.rel.starts_with("src/store/");
+  ctx.is_serve = ctx.rel.starts_with("src/serve/") ||
+                 ctx.rel.starts_with("tests/lint_fixtures/serve_logging");
   ctx.is_lock_home = ctx.rel == "src/support/thread_annotations.hpp";
-  ctx.is_profiler_home = starts_with(ctx.rel, "src/obs/profiler");
+  ctx.is_profiler_home = ctx.rel.starts_with("src/obs/profiler");
   ctx.is_provenance_home =
-      starts_with(ctx.rel, "src/bgp/") || ctx.is_obs_home;
-  ctx.is_campaign_home = starts_with(ctx.rel, "src/campaign/");
+      ctx.rel.starts_with("src/bgp/") || ctx.is_obs_home;
+  ctx.is_campaign_home = ctx.rel.starts_with("src/campaign/");
   return ctx;
 }
 
@@ -659,7 +659,7 @@ bool args_name_memory_order(const std::vector<Token>& toks, std::size_t open) {
     } else if (punct_is(t, ")")) {
       if (--depth == 0) return false;
     } else if (t.kind == Token::Kind::Ident &&
-               starts_with(t.text, "memory_order")) {
+               t.text.starts_with("memory_order")) {
       return true;
     }
   }
@@ -921,42 +921,30 @@ bool write_report_file(const std::string& path, const std::string& what,
   return true;
 }
 
-int usage() {
-  std::cerr
-      << "usage: bgpsim_lint --root DIR [--check-headers] [--cxx CXX]\n"
-         "                   [--json PATH] [--sarif PATH] [PATH...]\n"
-         "  With no PATHs, lints DIR/{src,tools,bench,examples}.\n"
-         "  Suppress one finding with a comment on (or above) its line:\n"
-         "    // bgpsim-lint: allow(rule-name)\n";
-  return 2;
-}
+const flags::Usage kUsage{
+    "bgpsim-lint --root DIR [options] [PATH...]",
+    "With no PATHs, lints DIR/{src,tools,bench,examples}. Suppress one finding\n"
+    "with a comment on (or above) its line: // bgpsim-lint: allow(rule-name)",
+    {flags::text("root", "repository root (required)"),
+     flags::toggle("check-headers", "also compile every src/ header standalone"),
+     flags::text("cxx", "compiler for --check-headers (default c++)"),
+     flags::text("json", "write a JSON report there"),
+     flags::text("sarif", "write a SARIF 2.1.0 report there")},
+    std::numeric_limits<std::size_t>::max()};
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  flags::Parsed args;
+  if (const auto status = args.parse(kUsage, argc, argv, 1)) return *status;
   Options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--root" && i + 1 < argc) {
-      opts.root = argv[++i];
-    } else if (arg == "--check-headers") {
-      opts.check_headers = true;
-    } else if (arg == "--cxx" && i + 1 < argc) {
-      opts.cxx = argv[++i];
-    } else if (arg == "--json" && i + 1 < argc) {
-      opts.json_path = argv[++i];
-    } else if (arg == "--sarif" && i + 1 < argc) {
-      opts.sarif_path = argv[++i];
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      opts.explicit_paths.emplace_back(arg);
-    }
-  }
-  if (opts.root.empty()) return usage();
+  opts.root = args.text("root").value_or("");
+  opts.check_headers = args.has("check-headers");
+  opts.cxx = args.text("cxx").value_or(opts.cxx);
+  opts.json_path = args.text("json").value_or("");
+  opts.sarif_path = args.text("sarif").value_or("");
+  opts.explicit_paths.assign(args.positional().begin(), args.positional().end());
+  if (opts.root.empty()) return flags::usage_error(kUsage, "--root is required");
   std::error_code ec;
   opts.root = fs::canonical(opts.root, ec);
   if (ec) {

@@ -1,118 +1,72 @@
-// bgpsim-perfdiff — compare BENCH_*.json run reports across builds.
-//
-//   bgpsim-perfdiff --baseline bench_baselines/ --candidate out/
-//   bgpsim-perfdiff --baseline old/BENCH_fig1.json --candidate new/BENCH_fig1.json
-//   bgpsim-perfdiff --candidate out/ --update-baselines bench_baselines/
-//
-// Exit codes:
-//   0  no regression (or baselines updated)
-//   1  perf or fidelity regression detected (named in the output)
-//   2  usage error, unreadable/malformed report, or incomparable topologies
+// bgpsim-perfdiff — compare BENCH_*.json run reports across builds
+// (`bgpsim-perfdiff --help` for the flags). Exit codes: 0 no regression (or
+// baselines updated); 1 perf or fidelity regression, named in the output;
+// 2 usage error, unreadable/malformed report, or incomparable topologies.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "obs/perfdiff.hpp"
-#include "support/error.hpp"
 
 namespace {
 
+namespace flags = bgpsim::flags;
 using bgpsim::obs::BenchSample;
 using bgpsim::obs::DiffOptions;
 using bgpsim::obs::PerfDiffResult;
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --baseline <report|dir> --candidate <report|dir>\n"
-               "          [--threshold <frac>] [--mem-threshold <frac>]\n"
-               "          [--alpha <p>] [--min-seconds <s>]\n"
-               "       %s --candidate <report|dir> --update-baselines <dir>\n"
-               "\n"
-               "Pairs BENCH_*.json reports by (name, scale, seed) and reports\n"
-               "per-metric deltas. Time metrics regress past --threshold\n"
-               "(default 0.10); memory gauges (gauge.mem.*bytes*) regress past\n"
-               "--mem-threshold (default 0.15); counters must match exactly\n"
-               "(same seed => deterministic). Exits 1 on regression, 2 on\n"
-               "schema/usage/topology-mismatch errors.\n",
-               argv0, argv0);
-  return 2;
-}
+const flags::Usage kUsage{
+    "bgpsim-perfdiff --baseline <report|dir> --candidate <report|dir> [options]\n"
+    "       bgpsim-perfdiff --candidate <report|dir> --update-baselines <dir>",
+    "Pairs BENCH_*.json reports by (name, scale, seed) and reports per-metric\n"
+    "deltas; counters must match exactly. Exits 1 on regression, 2 on error.",
+    {flags::text("baseline", "baseline report or directory"),
+     flags::text("candidate", "candidate report or directory (required)"),
+     flags::text("update-baselines", "write the candidate reports there as baselines"),
+     flags::fraction("threshold", "time-metric regression threshold (default 0.10)"),
+     flags::fraction("mem-threshold", "gauge.mem.*bytes* threshold (default 0.15)"),
+     flags::fraction("alpha", "significance level (default 0.05)", 1),
+     flags::fraction("min-seconds", "time noise floor in seconds (default 1e-3)")}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string baseline_path;
-  std::string candidate_path;
-  std::string update_dir;
+  flags::Parsed args;
+  if (const auto status = args.parse(kUsage, argc, argv, 1)) return *status;
+  const std::string baseline_path = args.text("baseline").value_or("");
+  const std::string candidate_path = args.text("candidate").value_or("");
+  const std::string update_dir = args.text("update-baselines").value_or("");
   DiffOptions options;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--baseline") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      baseline_path = v;
-    } else if (arg == "--candidate") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      candidate_path = v;
-    } else if (arg == "--update-baselines") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      update_dir = v;
-    } else if (arg == "--threshold") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.threshold = std::stod(v);
-    } else if (arg == "--mem-threshold") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.mem_threshold = std::stod(v);
-    } else if (arg == "--alpha") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.alpha = std::stod(v);
-    } else if (arg == "--min-seconds") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.min_seconds = std::stod(v);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return usage(argv[0]);
-    }
+  options.threshold = args.fraction("threshold", options.threshold);
+  options.mem_threshold = args.fraction("mem-threshold", options.mem_threshold);
+  options.alpha = args.fraction("alpha", options.alpha);
+  options.min_seconds = args.fraction("min-seconds", options.min_seconds);
+  if (candidate_path.empty() || (baseline_path.empty() && update_dir.empty())) {
+    return flags::usage_error(kUsage, "--candidate and --baseline or "
+                                      "--update-baselines are required");
   }
-  if (candidate_path.empty()) return usage(argv[0]);
-  if (baseline_path.empty() && update_dir.empty()) return usage(argv[0]);
 
-  try {
-    const std::vector<BenchSample> candidate =
-        bgpsim::obs::load_reports(candidate_path);
-    if (candidate.empty()) {
-      std::fprintf(stderr, "no BENCH_*.json reports under %s\n",
-                   candidate_path.c_str());
-      return 2;
+  const auto load = [](const std::string& path) {
+    std::vector<BenchSample> reports = bgpsim::obs::load_reports(path);
+    if (reports.empty()) {
+      throw std::runtime_error("no BENCH_*.json reports under " + path);
     }
-
+    return reports;
+  };
+  try {
+    const std::vector<BenchSample> candidate = load(candidate_path);
     if (!update_dir.empty()) {
       const std::vector<std::string> written =
           bgpsim::obs::update_baselines(candidate, update_dir);
       for (const std::string& file : written) {
-        std::printf("baseline updated: %s/%s\n", update_dir.c_str(),
-                    file.c_str());
+        std::printf("baseline updated: %s/%s\n", update_dir.c_str(), file.c_str());
       }
       return 0;
     }
 
-    const std::vector<BenchSample> baseline =
-        bgpsim::obs::load_reports(baseline_path);
-    if (baseline.empty()) {
-      std::fprintf(stderr, "no BENCH_*.json reports under %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
+    const std::vector<BenchSample> baseline = load(baseline_path);
     for (const BenchSample& sample : baseline) {
       if (sample.topology_checksum == 0) {
         std::fprintf(stderr,
@@ -130,10 +84,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     return result.regression ? 1 : 0;
-  } catch (const bgpsim::obs::IncomparableError& e) {
-    std::fprintf(stderr, "perfdiff: %s\n", e.what());
-    return 2;
-  } catch (const bgpsim::Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "perfdiff: %s\n", e.what());
     return 2;
   }

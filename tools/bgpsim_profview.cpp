@@ -4,26 +4,23 @@
 //
 //   frame;frame;frame <samples>        (root first, one line per stack)
 //
-//   bgpsim-profview <profile.folded> [--top N] [--sort self|total]
-//       top-N frames: self samples (frame is the leaf) and total samples
-//       (frame is anywhere on the stack, counted once per stack)
-//   bgpsim-profview --diff <a.folded> <b.folded> [--top N]
-//       frame-level A/B comparison sorted by |Δself|, for attributing a
-//       perf-gate regression to the frames that moved
-//
 // Exit status: 0 on success, 1 on unreadable/empty/malformed input, 2 on
 // usage errors.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
+
 namespace {
+
+namespace flags = bgpsim::flags;
 
 struct Profile {
   std::uint64_t total_samples = 0;
@@ -67,12 +64,13 @@ bool load_profile(const std::string& path, Profile& out) {
                    lineno);
       return false;
     }
-    char* end = nullptr;
-    const std::string count_token = line.substr(space + 1);
-    const unsigned long long count = std::strtoull(count_token.c_str(), &end, 10);
-    if (end == count_token.c_str() || *end != '\0' || count == 0) {
+    const std::string field = line.substr(space + 1);
+    const char* field_end = field.data() + field.size();
+    std::uint64_t count = 0;
+    const auto read = std::from_chars(field.data(), field_end, count);
+    if (read.ec != std::errc() || read.ptr != field_end || count == 0) {
       std::fprintf(stderr, "profview: %s:%zu: bad sample count '%s'\n",
-                   path.c_str(), lineno, count_token.c_str());
+                   path.c_str(), lineno, field.c_str());
       return false;
     }
     if (!split_stack(line.substr(0, space), frames)) {
@@ -204,44 +202,31 @@ int cmd_diff(const std::string& path_a, const std::string& path_b,
   return 0;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: bgpsim-profview <profile.folded> [--top N] "
-               "[--sort self|total]\n"
-               "       bgpsim-profview --diff <a.folded> <b.folded> [--top N]\n");
-  return 2;
-}
+const flags::Usage kUsage{
+    "bgpsim-profview <profile.folded> [--top N] [--sort self|total]\n"
+    "       bgpsim-profview --diff <a.folded> <b.folded> [--top N]",
+    "Top-N frames by self samples (frame is the leaf) and total samples (frame\n"
+    "anywhere on the stack, once per stack); --diff sorts frames by |Δself|.",
+    {flags::toggle("diff", "compare two profiles"),
+     flags::count<std::size_t>("top", "frames to print, at least 1 (default 20)"),
+     flags::text("sort", "self|total: rank by self or total samples (default self)")},
+    2};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> positional;
-  bool diff = false;
-  bool sort_by_total = false;
-  std::size_t top_n = 20;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--diff") {
-      diff = true;
-    } else if (arg == "--top") {
-      if (i + 1 >= argc) return usage();
-      top_n = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-      if (top_n == 0) return usage();
-    } else if (arg == "--sort") {
-      if (i + 1 >= argc) return usage();
-      const std::string key = argv[++i];
-      if (key != "self" && key != "total") return usage();
-      sort_by_total = key == "total";
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      positional.push_back(arg);
-    }
+  flags::Parsed args;
+  if (const auto status = args.parse(kUsage, argc, argv, 1)) return *status;
+  const std::vector<std::string>& files = args.positional();
+  const std::size_t top_n = args.count<std::size_t>("top", 20);
+  const std::string sort = args.text("sort").value_or("self");
+  if (top_n == 0) return flags::usage_error(kUsage, "--top must be at least 1");
+  if (sort != "self" && sort != "total") {
+    return flags::usage_error(kUsage, "--sort wants self or total, got '" + sort + "'");
   }
-  if (diff) {
-    if (positional.size() != 2) return usage();
-    return cmd_diff(positional[0], positional[1], top_n);
+  if (files.size() != (args.has("diff") ? 2u : 1u)) {
+    return flags::usage_error(kUsage, "wrong number of profile files");
   }
-  if (positional.size() != 1) return usage();
-  return cmd_top(positional[0], top_n, sort_by_total);
+  if (args.has("diff")) return cmd_diff(files[0], files[1], top_n);
+  return cmd_top(files[0], top_n, sort == "total");
 }

@@ -90,10 +90,9 @@ AsGraph rehome_up(const AsGraph& graph, Asn asn,
   const std::uint16_t desired_depth =
       provider_depth > levels ? static_cast<std::uint16_t>(provider_depth - levels)
                               : 0;
-  const auto transit = transit_flags(graph);
   std::vector<AsId> candidates;
   for (AsId c = 0; c < graph.num_ases(); ++c) {
-    if (c == v || !transit[c]) continue;
+    if (c == v || graph.is_stub(c)) continue;
     if (depth[c] > desired_depth) continue;
     candidates.push_back(c);
   }

@@ -11,15 +11,6 @@ EquilibriumEngine::EquilibriumEngine(const AsGraph& graph, PolicyConfig config)
     : graph_(graph), config_(std::move(config)) {
   validate_engine_inputs(graph_, config_);
   const std::uint32_t n = graph_.num_ases();
-  is_stub_.assign(n, 1);
-  for (AsId v = 0; v < n; ++v) {
-    for (const auto& nbr : graph_.neighbors(v)) {
-      if (nbr.rel == Rel::Customer) {
-        is_stub_[v] = 0;
-        break;
-      }
-    }
-  }
   customer_.resize(n);
   peer_.resize(n);
   // Route lengths are bounded by the AS count; pre-sizing keeps stage 3 free
@@ -118,7 +109,7 @@ void EquilibriumEngine::stage1_customer_routes(AsId primary, Origin primary_tag,
 
   const bool stub_filter_attacker = config_.stub_first_hop_filter &&
                                     attacker_seed != kInvalidAs &&
-                                    is_stub_[attacker_seed];
+                                    graph_.is_stub(attacker_seed);
 
   std::size_t highest =
       std::max<std::size_t>(primary_len,

@@ -86,7 +86,6 @@ class EquilibriumEngine {
 
   const AsGraph& graph_;
   PolicyConfig config_;
-  std::vector<std::uint8_t> is_stub_;
 
   // Validator rejections during the current run(); flushed to the
   // defense.validator_drops counter when it returns.

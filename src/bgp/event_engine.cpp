@@ -15,40 +15,12 @@ EventEngine::EventEngine(const AsGraph& graph, EventEngineConfig config)
                  "bad delay range");
   const std::uint32_t n = graph_.num_ases();
 
-  edge_offset_.assign(n + 1, 0);
-  for (AsId v = 0; v < n; ++v) {
-    edge_offset_[v + 1] = edge_offset_[v] + graph_.degree(v);
-  }
-  const std::uint32_t total_edges = edge_offset_[n];
-
-  mirror_.assign(total_edges, 0);
-  for (AsId u = 0; u < n; ++u) {
-    const auto nbrs_u = graph_.neighbors(u);
-    for (std::uint32_t k = 0; k < nbrs_u.size(); ++k) {
-      const AsId v = nbrs_u[k].id;
-      const auto nbrs_v = graph_.neighbors(v);
-      const auto it = std::lower_bound(
-          nbrs_v.begin(), nbrs_v.end(), u,
-          [](const Neighbor& nb, AsId id) { return nb.id < id; });
-      BGPSIM_ASSERT(it != nbrs_v.end() && it->id == u, "asymmetric adjacency");
-      mirror_[edge_offset_[u] + k] =
-          static_cast<std::uint32_t>(it - nbrs_v.begin());
-    }
-  }
+  const std::uint32_t total_edges = graph_.num_directed_edges();
+  mirror_ = graph_.reverse_slots();
 
   Rng rng(config_.delay_seed);
   delay_.resize(total_edges);
   for (auto& d : delay_) d = rng.uniform(config_.min_delay, config_.max_delay);
-
-  is_stub_.assign(n, 1);
-  for (AsId v = 0; v < n; ++v) {
-    for (const auto& nbr : graph_.neighbors(v)) {
-      if (nbr.rel == Rel::Customer) {
-        is_stub_[v] = 0;
-        break;
-      }
-    }
-  }
 
   rib_.assign(total_edges, RibEntry{});
   rib_path_.resize(total_edges);
@@ -78,7 +50,7 @@ std::uint32_t EventEngine::count_origin(Origin origin) const {
 void EventEngine::schedule_exports(AsId v, double now) {
   const Route& route = best_[v];
   if (!route.valid()) return;
-  const std::uint32_t base = edge_offset_[v];
+  const std::uint32_t base = graph_.edge_offset(v);
   const auto nbrs = graph_.neighbors(v);
   for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
     const Neighbor& nbr = nbrs[k];
@@ -86,7 +58,7 @@ void EventEngine::schedule_exports(AsId v, double now) {
     if (nbr.id == route.via) continue;  // split horizon
     if (config_.policy.stub_first_hop_filter && route.cls == RouteClass::Self &&
         route.origin == Origin::Attacker && nbr.rel == Rel::Provider &&
-        is_stub_[v]) {
+        graph_.is_stub(v)) {
       continue;
     }
     Message msg;
@@ -117,7 +89,7 @@ bool EventEngine::deliver(const Message& msg, const ValidatorSet* validators) {
     return false;  // loop
   }
 
-  const std::uint32_t rib_idx = edge_offset_[to] + msg.to_slot;
+  const std::uint32_t rib_idx = graph_.edge_offset(to) + msg.to_slot;
   const RibEntry old = rib_[rib_idx];
   const auto nbrs = graph_.neighbors(to);
   const RouteClass cls = route_class_from(nbrs[msg.to_slot].rel);
@@ -162,7 +134,7 @@ bool EventEngine::deliver(const Message& msg, const ValidatorSet* validators) {
 void EventEngine::reselect(AsId v) {
   const Route before = best_[v];
   const bool is_t1 = config_.policy.as_is_tier1(v);
-  const std::uint32_t base = edge_offset_[v];
+  const std::uint32_t base = graph_.edge_offset(v);
   const auto nbrs = graph_.neighbors(v);
   Route best{};
   std::uint32_t best_idx = kSelfSlot;

@@ -69,7 +69,7 @@ class EventEngine {
 
   /// One-way delay of the directed link (u -> its k-th neighbor).
   double link_delay(AsId u, std::uint32_t slot) const {
-    return delay_[edge_offset_[u] + slot];
+    return delay_[graph_.edge_offset(u) + slot];
   }
 
   /// Record infection edges (adopt/cure/blocked; see obs/provenance.hpp)
@@ -111,10 +111,8 @@ class EventEngine {
   const AsGraph& graph_;
   EventEngineConfig config_;
 
-  std::vector<std::uint32_t> edge_offset_;
-  std::vector<std::uint32_t> mirror_;
-  std::vector<double> delay_;  // per directed edge
-  std::vector<std::uint8_t> is_stub_;
+  std::vector<std::uint32_t> mirror_;  // AsGraph::reverse_slots()
+  std::vector<double> delay_;          // per directed edge
 
   std::vector<RibEntry> rib_;
   std::vector<std::vector<AsId>> rib_path_;

@@ -13,38 +13,8 @@ GenerationEngine::GenerationEngine(const AsGraph& graph, PolicyConfig config)
   validate_engine_inputs(graph_, config_);
   const std::uint32_t n = graph_.num_ases();
 
-  edge_offset_.assign(n + 1, 0);
-  for (AsId v = 0; v < n; ++v) {
-    edge_offset_[v + 1] = edge_offset_[v] + graph_.degree(v);
-  }
-  const std::uint32_t total_edges = edge_offset_[n];
-
-  // mirror_[edge_offset_[u] + k]: position of u inside neighbors(v) where
-  // v = neighbors(u)[k]. Lets deliver() address v's Adj-RIB-In slot in O(1).
-  mirror_.assign(total_edges, 0);
-  for (AsId u = 0; u < n; ++u) {
-    const auto nbrs_u = graph_.neighbors(u);
-    for (std::uint32_t k = 0; k < nbrs_u.size(); ++k) {
-      const AsId v = nbrs_u[k].id;
-      const auto nbrs_v = graph_.neighbors(v);
-      const auto it = std::lower_bound(
-          nbrs_v.begin(), nbrs_v.end(), u,
-          [](const Neighbor& nb, AsId id) { return nb.id < id; });
-      BGPSIM_ASSERT(it != nbrs_v.end() && it->id == u, "asymmetric adjacency");
-      mirror_[edge_offset_[u] + k] =
-          static_cast<std::uint32_t>(it - nbrs_v.begin());
-    }
-  }
-
-  is_stub_.assign(n, 1);
-  for (AsId v = 0; v < n; ++v) {
-    for (const auto& nbr : graph_.neighbors(v)) {
-      if (nbr.rel == Rel::Customer) {
-        is_stub_[v] = 0;
-        break;
-      }
-    }
-  }
+  const std::uint32_t total_edges = graph_.num_directed_edges();
+  mirror_ = graph_.reverse_slots();
 
   rib_.assign(total_edges, RibEntry{});
   rib_path_.resize(total_edges);
@@ -112,7 +82,7 @@ bool GenerationEngine::deliver(AsId from, AsId to, std::uint32_t to_slot,
                                const ValidatorSet* validators) {
   if (entry.origin == Origin::Attacker) offered_bogus_[to] = 1;
 
-  const std::uint32_t rib_idx = edge_offset_[to] + to_slot;
+  const std::uint32_t rib_idx = graph_.edge_offset(to) + to_slot;
 
   // An UPDATE replaces whatever this neighbor announced before, so a rejected
   // one leaves no route behind (RFC 7606 treat-as-withdraw). Without this,
@@ -223,7 +193,7 @@ void GenerationEngine::snapshot_watch(std::uint32_t generation) {
     self.len = best_[v].path_len;
     snap.candidates.push_back(std::move(self));
   }
-  const std::uint32_t base = edge_offset_[v];
+  const std::uint32_t base = graph_.edge_offset(v);
   const auto nbrs = graph_.neighbors(v);
   for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
     const RibEntry& entry = rib_[base + k];
@@ -291,7 +261,7 @@ void GenerationEngine::snapshot_watch(std::uint32_t generation) {
 
 void GenerationEngine::reselect(AsId v) {
   const bool is_t1 = config_.as_is_tier1(v);
-  const std::uint32_t base = edge_offset_[v];
+  const std::uint32_t base = graph_.edge_offset(v);
   const auto nbrs = graph_.neighbors(v);
   const Route before = best_[v];
   Route best{};
@@ -396,12 +366,12 @@ ConvergeStats GenerationEngine::announce(AsId origin, Origin tag,
       const std::vector<AsId>& announce_path = best_path_[v];
       const RibEntry entry{route.origin, RouteClass::None,
                            static_cast<std::uint16_t>(route.path_len + 1)};
-      const std::uint32_t base = edge_offset_[v];
+      const std::uint32_t base = graph_.edge_offset(v);
       const auto nbrs = graph_.neighbors(v);
       for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
         const Neighbor& nbr = nbrs[k];
         const std::uint32_t peer_rib_idx =
-            edge_offset_[nbr.id] + mirror_[base + k];
+            graph_.edge_offset(nbr.id) + mirror_[base + k];
         // Valley-free export plus poison reverse: no route, a route class
         // this edge must not carry, or a route through the neighbor itself
         // all mean "nothing to offer". If an earlier selection WAS exported
@@ -434,7 +404,7 @@ ConvergeStats GenerationEngine::announce(AsId origin, Origin tag,
         // prefixes, so they cannot be filtered this way).
         if (config_.stub_first_hop_filter && route.cls == RouteClass::Self &&
             route.origin == Origin::Attacker && nbr.rel == Rel::Provider &&
-            is_stub_[v]) {
+            graph_.is_stub(v)) {
           // The provider still *receives* the bogus origination before
           // discarding it ("heard" detection semantics); the discarded
           // update still replaces (withdraws) the stub's earlier route.

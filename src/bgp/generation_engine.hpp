@@ -138,12 +138,11 @@ class GenerationEngine {
   const AsGraph& graph_;
   PolicyConfig config_;
 
-  // CSR mirror: for u's k-th neighbor v, mirror_[offset(u)+k] is the slot of
-  // u inside v's neighbor list — O(1) Adj-RIB-In addressing.
-  std::vector<std::uint32_t> edge_offset_;  // per AS, into rib arrays
+  // AsGraph::reverse_slots(): for u's k-th neighbor v, mirror_[edge_offset(u)
+  // + k] is the slot of u inside v's neighbor list.
   std::vector<std::uint32_t> mirror_;
 
-  // Adj-RIB-In, one entry per directed edge (indexed edge_offset_[v] + slot).
+  // Adj-RIB-In, one entry per directed edge (indexed edge_offset(v) + slot).
   std::vector<RibEntry> rib_;
   std::vector<std::vector<AsId>> rib_path_;
 
@@ -154,7 +153,6 @@ class GenerationEngine {
   std::vector<std::uint32_t> best_slot_;
   std::vector<std::vector<AsId>> best_path_;
 
-  std::vector<std::uint8_t> is_stub_;  // for the first-hop stub filter
   std::vector<std::uint8_t> offered_bogus_;
 
   // Scratch for the propagation loop.

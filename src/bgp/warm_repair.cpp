@@ -97,20 +97,13 @@ bool warm_hijack_repair(const AsGraph& graph, const PolicyConfig& config,
                  "validator set size mismatch");
   BGPSIM_TIMED_SCOPE("warm.repair");
 
-  bool attacker_is_stub = true;
-  for (const auto& nbr : graph.neighbors(attacker)) {
-    if (nbr.rel == Rel::Customer) {
-      attacker_is_stub = false;
-      break;
-    }
-  }
   const std::uint8_t* vmask = validators != nullptr ? validators->data() : nullptr;
   const bool t1sp = config.tier1_shortest_path;
   const std::uint8_t* tier1 =
       config.is_tier1.empty() ? nullptr : config.is_tier1.data();
   RepairContext ctx{graph,    config,   vmask,
                     table,    target,   attacker,
-                    config.stub_first_hop_filter && attacker_is_stub};
+                    config.stub_first_hop_filter && graph.is_stub(attacker)};
 
   // Inject the bogus origin and seed the worklist there. FIFO order with an
   // in-queue bitmap keeps each AS at most once in flight.

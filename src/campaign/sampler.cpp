@@ -19,8 +19,6 @@ std::vector<Stratum> build_attacker_strata(const Scenario& scenario) {
   const AsGraph& graph = scenario.graph();
   const TierClassification& tiers = scenario.tiers();
   const std::vector<std::uint16_t>& depth = scenario.depth();
-  const std::vector<std::uint8_t> transit = transit_flags(graph);
-  const std::vector<std::uint32_t> degree = degrees(graph);
 
   // Fixed bucket order so stratum indices (and with them the per-stratum
   // RNG streams) are stable across runs.
@@ -39,9 +37,9 @@ std::vector<Stratum> build_attacker_strata(const Scenario& scenario) {
       bucket = 0;
     } else if (tiers.is_tier2[id] != 0) {
       bucket = 1;
-    } else if (transit[id] != 0) {
+    } else if (!graph.is_stub(id)) {
       bucket = depth[id] <= kShallowDepth ? 2 : 3;
-    } else if (degree[id] >= 2) {
+    } else if (graph.degree(id) >= 2) {
       bucket = 4;  // multi-connected stub: several providers/peers to abuse
     } else {
       bucket = 5;

@@ -1,5 +1,6 @@
 #include "obs/json_parse.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,19 +12,60 @@
 namespace bgpsim::obs {
 
 std::uint64_t JsonValue::as_u64(std::uint64_t fallback) const {
+  if (integer_) return *integer_;
   // Past 2^64 (and for NaN) the cast below would be undefined behaviour.
   if (!is_number() || !(number_ >= 0.0 && number_ < 0x1p64)) return fallback;
   return static_cast<std::uint64_t>(number_);
 }
 
 std::optional<std::uint64_t> JsonValue::as_integer(std::uint64_t max) const {
-  // as_u64 round-trips exactly when the number is whole and in [0, 2^64).
-  const std::uint64_t value = as_u64();
-  if (!is_number() || static_cast<double>(value) != number_ || value > max) {
+  if (!integer_ || *integer_ > max) return std::nullopt;
+  return integer_;
+}
+
+namespace {
+
+/// The exact value of a number literal strtod has accepted
+/// ([-]digits[.digits][(e|E)[+-]digits]) when it is a whole number in
+/// [0, 2^64), else nullopt.
+std::optional<std::uint64_t> exact_integer(std::string_view token) {
+  std::int64_t exponent = 0;  // value = digits * 10^exponent
+  if (const std::size_t e = token.find_first_of("eE"); e != std::string_view::npos) {
+    std::string_view power = token.substr(e + 1);
+    if (power.starts_with('+')) power.remove_prefix(1);
+    const char* last = power.data() + power.size();
+    if (std::from_chars(power.data(), last, exponent).ec != std::errc() ||
+        exponent < -(1 << 20) || exponent > (1 << 20)) {
+      return std::nullopt;
+    }
+    token = token.substr(0, e);
+  }
+  const std::size_t dot = token.find('.');
+  std::string digits(token.substr(0, dot));
+  if (dot != std::string_view::npos) {
+    digits += token.substr(dot + 1);
+    exponent -= static_cast<std::int64_t>(token.size() - dot - 1);
+  }
+  const bool negative = digits.starts_with('-');
+  digits.erase(0, digits.find_first_not_of("-0"));
+  if (digits.empty()) return 0;  // every spelling of zero, -0 included
+  while (digits.back() == '0') {
+    digits.pop_back();
+    ++exponent;
+  }
+  // The last digit is nonzero now: a negative exponent leaves a fraction,
+  // and 20 or more places reach past 2^64.
+  if (negative || exponent < 0 || exponent > 19) return std::nullopt;
+  digits.append(static_cast<std::size_t>(exponent), '0');
+  std::uint64_t value = 0;
+  const char* last = digits.data() + digits.size();
+  if (std::from_chars(digits.data(), last, value).ec != std::errc()) {
     return std::nullopt;
   }
   return value;
 }
+
+}  // namespace
 
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (!is_object()) return nullptr;
@@ -245,6 +287,7 @@ class JsonParser {
     JsonValue out;
     out.kind_ = JsonValue::Kind::Number;
     out.number_ = value;
+    out.integer_ = exact_integer(token);
     return out;
   }
 

@@ -41,10 +41,13 @@ class JsonValue {
   double as_number(double fallback = 0.0) const {
     return is_number() ? number_ : fallback;
   }
-  /// The number truncated toward zero; `fallback` when it is not a number
-  /// or not in [0, 2^64).
+  /// The number truncated toward zero (the exact value when the literal
+  /// is a whole number); `fallback` when it is not a number or not in
+  /// [0, 2^64).
   std::uint64_t as_u64(std::uint64_t fallback = 0) const;
-  /// The number when it is a whole number in [0, max], else nullopt.
+  /// The exact value of the literal when it is a whole number in [0, max],
+  /// else nullopt. Read from the decimal digits, not from the double, so
+  /// 9007199254740993 stays itself and 2.0000000000000001 is no integer.
   std::optional<std::uint64_t> as_integer(
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   const std::string& as_string() const { return string_; }
@@ -71,6 +74,7 @@ class JsonValue {
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   double number_ = 0.0;
+  std::optional<std::uint64_t> integer_;  ///< exact value of a whole literal
   std::string string_;
   std::vector<JsonValue> items_;
   std::map<std::string, JsonValue> members_;

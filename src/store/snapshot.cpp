@@ -108,7 +108,9 @@ class Reader {
 
 }  // namespace
 
-/// Friend of AsGraph: round-trips the CSR arrays field-for-field.
+/// Friend of AsGraph: round-trips the CSR arrays field-for-field. The
+/// derived facts (degree order, stub flags) are not stored; decode_graph
+/// recomputes them once the arrays have been validated.
 class SnapshotCodec {
  public:
   static void encode_graph(const AsGraph& g, std::string& out) {
@@ -189,6 +191,7 @@ class SnapshotCodec {
         throw SnapshotCorruptError("topology section: duplicate ASN");
       }
     }
+    g.derive_facts();
     return g;
   }
 };

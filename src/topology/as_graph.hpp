@@ -4,6 +4,10 @@
 // the synthetic generator. Nodes are dense AsId indices; the external AS
 // number, address-space weight (/24 equivalents) and region label ride along
 // as per-node attributes.
+//
+// The graph also owns the facts derived from its CSR arrays (degree order,
+// stub flags, edge index): computed once when GraphBuilder::build() finishes
+// or a snapshot is decoded, immutable afterwards, never serialized.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +45,27 @@ class AsGraph {
   std::uint32_t degree(AsId as_id) const {
     return offsets_[as_id + 1] - offsets_[as_id];
   }
+
+  /// Every AS by descending degree, ties by ascending AsId. Degree-ranked
+  /// cores, probe sets and deployments are prefixes of it.
+  std::span<const AsId> degree_order() const { return degree_order_; }
+
+  /// True when the AS has no customers.
+  bool is_stub(AsId as_id) const { return stub_[as_id] != 0; }
+
+  /// Index of `as_id`'s first directed edge: the edge to its k-th neighbor
+  /// is edge_offset(as_id) + k. Per-edge engine arrays (Adj-RIB-In, link
+  /// delays) of size num_directed_edges() are indexed this way.
+  std::uint32_t edge_offset(AsId as_id) const { return offsets_[as_id]; }
+
+  std::uint32_t num_directed_edges() const {
+    return static_cast<std::uint32_t>(adj_.size());
+  }
+
+  /// Reverse-slot index: for u's k-th neighbor v, entry edge_offset(u) + k
+  /// is the position of u inside neighbors(v), so a message-passing engine
+  /// finds the receiver's Adj-RIB-In slot in O(1). O(E) per call.
+  std::vector<std::uint32_t> reverse_slots() const;
 
   /// External AS number of a node.
   Asn asn(AsId as_id) const { return asn_[as_id]; }
@@ -85,6 +110,9 @@ class AsGraph {
   // a loaded snapshot reproduces the original bytes.
   friend class store::SnapshotCodec;
 
+  /// Fill degree_order_ and stub_; both friends call it last.
+  void derive_facts();
+
   std::vector<std::uint32_t> offsets_;  // size num_ases + 1
   std::vector<Neighbor> adj_;           // both directions of every link
   std::vector<Asn> asn_;                // dense id -> external number
@@ -93,6 +121,8 @@ class AsGraph {
   std::uint64_t total_addr_space_ = 0;
   std::vector<std::uint16_t> region_;
   std::vector<std::string> region_names_;
+  std::vector<AsId> degree_order_;      // derived: see degree_order()
+  std::vector<std::uint8_t> stub_;      // derived: 1 = no customers
 };
 
 }  // namespace bgpsim

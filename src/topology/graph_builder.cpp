@@ -146,6 +146,7 @@ AsGraph GraphBuilder::build() const {
               graph.adj_.begin() + graph.offsets_[v + 1],
               [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
   }
+  graph.derive_facts();
   return graph;
 }
 

@@ -8,17 +8,6 @@
 
 namespace bgpsim {
 
-namespace {
-
-bool has_provider(const AsGraph& graph, AsId v) {
-  for (const auto& nbr : graph.neighbors(v)) {
-    if (nbr.rel == Rel::Provider) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 TierClassification classify_tiers(const AsGraph& graph,
                                   std::uint32_t tier2_min_degree) {
   const std::uint32_t n = graph.num_ases();
@@ -28,16 +17,9 @@ TierClassification classify_tiers(const AsGraph& graph,
 
   // Candidates: provider-free ASes, considered in descending degree so the
   // greedy clique is seeded from the best-connected one.
-  std::vector<AsId> candidates;
-  for (AsId v = 0; v < n; ++v) {
-    if (!has_provider(graph, v)) candidates.push_back(v);
-  }
-  std::sort(candidates.begin(), candidates.end(), [&graph](AsId a, AsId b) {
-    const auto da = graph.degree(a), db = graph.degree(b);
-    return da != db ? da > db : a < b;
-  });
-
-  for (const AsId cand : candidates) {
+  const auto is_provider = [](const Neighbor& nbr) { return nbr.rel == Rel::Provider; };
+  for (const AsId cand : graph.degree_order()) {
+    if (std::ranges::any_of(graph.neighbors(cand), is_provider)) continue;
     bool peers_with_all = true;
     for (const AsId member : tiers.tier1) {
       const auto rel = graph.relationship(cand, member);
@@ -53,13 +35,12 @@ TierClassification classify_tiers(const AsGraph& graph,
   }
   std::sort(tiers.tier1.begin(), tiers.tier1.end());
 
-  const auto transit = transit_flags(graph);
   for (const AsId t1 : tiers.tier1) {
     for (const auto& nbr : graph.neighbors(t1)) {
       if (nbr.rel != Rel::Customer) continue;
       const AsId v = nbr.id;
       if (tiers.is_tier1[v] || tiers.is_tier2[v]) continue;
-      if (transit[v] && graph.degree(v) >= tier2_min_degree) {
+      if (!graph.is_stub(v) && graph.degree(v) >= tier2_min_degree) {
         tiers.is_tier2[v] = 1;
         tiers.tier2.push_back(v);
       }
@@ -70,24 +51,15 @@ TierClassification classify_tiers(const AsGraph& graph,
 }
 
 std::vector<std::uint8_t> transit_flags(const AsGraph& graph) {
-  const std::uint32_t n = graph.num_ases();
-  std::vector<std::uint8_t> flags(n, 0);
-  for (AsId v = 0; v < n; ++v) {
-    for (const auto& nbr : graph.neighbors(v)) {
-      if (nbr.rel == Rel::Customer) {
-        flags[v] = 1;
-        break;
-      }
-    }
-  }
+  std::vector<std::uint8_t> flags(graph.num_ases());
+  for (AsId v = 0; v < graph.num_ases(); ++v) flags[v] = graph.is_stub(v) ? 0 : 1;
   return flags;
 }
 
 std::vector<AsId> transit_ases(const AsGraph& graph) {
-  const auto flags = transit_flags(graph);
   std::vector<AsId> out;
   for (AsId v = 0; v < graph.num_ases(); ++v) {
-    if (flags[v]) out.push_back(v);
+    if (!graph.is_stub(v)) out.push_back(v);
   }
   return out;
 }
@@ -187,34 +159,19 @@ std::vector<std::uint32_t> degrees(const AsGraph& graph) {
 
 std::vector<AsId> ases_with_degree_at_least(const AsGraph& graph,
                                             std::uint32_t min_degree) {
-  std::vector<AsId> out;
-  for (AsId v = 0; v < graph.num_ases(); ++v) {
-    if (graph.degree(v) >= min_degree) out.push_back(v);
-  }
-  std::sort(out.begin(), out.end(), [&graph](AsId a, AsId b) {
-    const auto da = graph.degree(a), db = graph.degree(b);
-    return da != db ? da > db : a < b;
-  });
-  return out;
+  const auto order = graph.degree_order();
+  const auto end = std::partition_point(
+      order.begin(), order.end(),
+      [&graph, min_degree](AsId v) { return graph.degree(v) >= min_degree; });
+  return {order.begin(), end};
 }
 
 std::vector<AsId> top_k_by_degree(const AsGraph& graph, std::size_t k) {
-  std::vector<AsId> all(graph.num_ases());
-  for (AsId v = 0; v < graph.num_ases(); ++v) all[v] = v;
-  std::sort(all.begin(), all.end(), [&graph](AsId a, AsId b) {
-    const auto da = graph.degree(a), db = graph.degree(b);
-    return da != db ? da > db : a < b;
-  });
-  all.resize(std::min(k, all.size()));
-  return all;
+  const auto order = graph.degree_order();
+  return {order.begin(), order.begin() + std::min(k, order.size())};
 }
 
-bool is_stub(const AsGraph& graph, AsId as_id) {
-  for (const auto& nbr : graph.neighbors(as_id)) {
-    if (nbr.rel == Rel::Customer) return false;
-  }
-  return true;
-}
+bool is_stub(const AsGraph& graph, AsId as_id) { return graph.is_stub(as_id); }
 
 bool is_multi_homed(const AsGraph& graph, AsId as_id, std::uint32_t n) {
   std::uint32_t providers = 0;

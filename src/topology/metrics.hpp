@@ -29,7 +29,8 @@ struct TierClassification {
 TierClassification classify_tiers(const AsGraph& graph,
                                   std::uint32_t tier2_min_degree);
 
-/// Per-AS flag: has at least one customer (i.e. is a transit provider).
+/// Per-AS flag: has at least one customer (i.e. is a transit provider);
+/// the complement of AsGraph::is_stub.
 std::vector<std::uint8_t> transit_flags(const AsGraph& graph);
 
 /// All transit ASes (ascending AsId).
@@ -54,14 +55,16 @@ std::uint64_t reach(const AsGraph& graph, AsId as_id);
 
 std::vector<std::uint32_t> degrees(const AsGraph& graph);
 
-/// ASes with degree >= `min_degree` (descending degree, ties by AsId).
+/// ASes with degree >= `min_degree` (descending degree, ties by AsId): a
+/// prefix of AsGraph::degree_order().
 std::vector<AsId> ases_with_degree_at_least(const AsGraph& graph,
                                             std::uint32_t min_degree);
 
-/// The k highest-degree ASes (descending degree, ties by AsId).
+/// The k highest-degree ASes (descending degree, ties by AsId): a prefix of
+/// AsGraph::degree_order().
 std::vector<AsId> top_k_by_degree(const AsGraph& graph, std::size_t k);
 
-/// True when the AS has no customers.
+/// True when the AS has no customers (AsGraph::is_stub).
 bool is_stub(const AsGraph& graph, AsId as_id);
 
 /// True when the AS has at least `n` providers.

@@ -5,11 +5,6 @@
 // and re-point the sink at per-test temp files.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -17,6 +12,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "loopback_http.hpp"
 #include "obs/json_parse.hpp"
 #include "serve/query_server.hpp"
 #include "serve/request_obs.hpp"
@@ -28,65 +24,8 @@
 namespace bgpsim::serve {
 namespace {
 
-struct ClientResponse {
-  int status = 0;
-  std::string head;
-  std::string body;
-};
-
-/// Minimal blocking HTTP client; `headers` must be CRLF-terminated lines.
-ClientResponse http_request(std::uint16_t port, const std::string& method,
-                            const std::string& target,
-                            const std::string& body = std::string(),
-                            const std::string& headers = std::string()) {
-  ClientResponse out;
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return out;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return out;
-  }
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  if (!body.empty()) {
-    request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  request += headers;
-  request += "Connection: close\r\n\r\n" + body;
-  (void)send(fd, request.data(), request.size(), 0);
-
-  std::string raw;
-  char buf[8192];
-  for (;;) {
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    raw.append(buf, static_cast<std::size_t>(n));
-  }
-  close(fd);
-
-  if (raw.rfind("HTTP/1.1 ", 0) == 0 && raw.size() > 12) {
-    out.status = std::stoi(raw.substr(9, 3));
-  }
-  const std::size_t split = raw.find("\r\n\r\n");
-  if (split != std::string::npos) {
-    out.head = raw.substr(0, split);
-    out.body = raw.substr(split + 4);
-  }
-  return out;
-}
-
-std::string response_request_id(const ClientResponse& response) {
-  const std::size_t at = response.head.find("X-Request-Id:");
-  if (at == std::string::npos) return {};
-  std::size_t begin = at + std::string("X-Request-Id:").size();
-  std::size_t end = response.head.find("\r\n", begin);
-  if (end == std::string::npos) end = response.head.size();
-  while (begin < end && response.head[begin] == ' ') ++begin;
-  return response.head.substr(begin, end - begin);
-}
+using loopback::ClientResponse;
+using loopback::http_request;
 
 std::vector<obs::JsonValue> read_ndjson(const std::string& path) {
   std::vector<obs::JsonValue> records;
@@ -206,7 +145,7 @@ TEST_F(AccessLogTest, OneSchemaValidRecordPerRequest) {
   EXPECT_TRUE(attack_record.find("warm")->as_bool());
   ASSERT_NE(attack_record.find("generations"), nullptr);
   EXPECT_EQ(attack_record.find("request_id")->as_string(),
-            response_request_id(attack));
+            attack.header("X-Request-Id"));
 }
 
 TEST_F(AccessLogTest, PassthroughIdReachesLog) {
@@ -214,7 +153,7 @@ TEST_F(AccessLogTest, PassthroughIdReachesLog) {
       http_request(port(), "GET", "/healthz", "",
                    "X-Request-Id: log-corr-42\r\n");
   ASSERT_EQ(response.status, 200);
-  EXPECT_EQ(response_request_id(response), "log-corr-42");
+  EXPECT_EQ(response.header("X-Request-Id"), "log-corr-42");
 
   const auto records = read_ndjson(path_);
   ASSERT_EQ(records.size(), 1u);
@@ -254,7 +193,7 @@ TEST_F(AccessLogTest, CompiledOutUnderObsOff) {
       http_request(port(), "GET", "/healthz", "",
                    "X-Request-Id: off-mode\r\n");
   ASSERT_EQ(response.status, 200);
-  EXPECT_EQ(response_request_id(response), "off-mode");
+  EXPECT_EQ(response.header("X-Request-Id"), "off-mode");
   EXPECT_TRUE(read_ndjson(path_).empty());
 }
 

@@ -3,9 +3,6 @@
 // registry API itself, and /statusz integration.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <memory>
@@ -13,6 +10,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "loopback_http.hpp"
 #include "obs/json_parse.hpp"
 #include "serve/campaign_jobs.hpp"
 #include "serve/query_server.hpp"
@@ -24,48 +22,8 @@
 namespace bgpsim::serve {
 namespace {
 
-struct ClientResponse {
-  int status = 0;
-  std::string body;
-};
-
-/// Minimal blocking loopback HTTP client (serve_test.cpp's, sans headers).
-ClientResponse http_request(std::uint16_t port, const std::string& method,
-                            const std::string& target,
-                            const std::string& body = std::string()) {
-  ClientResponse out;
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return out;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return out;
-  }
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  if (!body.empty()) {
-    request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  request += "Connection: close\r\n\r\n" + body;
-  (void)send(fd, request.data(), request.size(), 0);
-
-  std::string raw;
-  char buf[8192];
-  for (;;) {
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    raw.append(buf, static_cast<std::size_t>(n));
-  }
-  close(fd);
-  if (raw.rfind("HTTP/1.1 ", 0) == 0 && raw.size() > 12) {
-    out.status = std::stoi(raw.substr(9, 3));
-  }
-  const std::size_t split = raw.find("\r\n\r\n");
-  if (split != std::string::npos) out.body = raw.substr(split + 4);
-  return out;
-}
+using loopback::ClientResponse;
+using loopback::http_request;
 
 store::Snapshot make_snapshot(std::uint32_t scale, std::uint64_t seed,
                               std::size_t num_targets) {

@@ -82,6 +82,23 @@ TEST(JsonParse, IntegerAccessorsRejectWhatHasNoIntegerValue) {
   EXPECT_FALSE(v[4].as_integer(6).has_value());
   EXPECT_FALSE(v[5].as_integer().has_value());
   EXPECT_FALSE(JsonValue::parse("\"7\"").as_integer().has_value());
+
+  // Exact past 2^53, where the double alone would round to a neighbour.
+  const JsonValue wide = JsonValue::parse(
+      R"([9007199254740993, 18446744073709551615, 2.0000000000000001,
+          9007199254740993.5, 1.5e1, 2500e-2, 1e-1, 1e20, -0, -0.0e5])");
+  const auto& w = wide.items();
+  EXPECT_EQ(w[0].as_integer(), 9007199254740993u);
+  EXPECT_EQ(w[0].as_u64(), 9007199254740993u);
+  EXPECT_EQ(w[1].as_integer(), 18446744073709551615u);
+  EXPECT_FALSE(w[2].as_integer().has_value());
+  EXPECT_FALSE(w[3].as_integer().has_value());
+  EXPECT_EQ(w[4].as_integer(), 15u);
+  EXPECT_EQ(w[5].as_integer(), 25u);
+  EXPECT_FALSE(w[6].as_integer().has_value());
+  EXPECT_FALSE(w[7].as_integer().has_value());
+  EXPECT_EQ(w[8].as_integer(), 0u);
+  EXPECT_EQ(w[9].as_integer(), 0u);
 }
 
 TEST(ParseBenchReport, FlattensEveryMetricFamily) {

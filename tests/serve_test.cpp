@@ -2,17 +2,14 @@
 // endpoints over real loopback sockets, and graceful drain.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "loopback_http.hpp"
 #include "obs/json_parse.hpp"
 #include "serve/query_server.hpp"
 #include "serve/service.hpp"
@@ -23,72 +20,8 @@
 namespace bgpsim::serve {
 namespace {
 
-struct ClientResponse {
-  int status = 0;
-  std::string head;  ///< status line + response headers
-  std::string body;
-
-  /// Case-insensitive response-header lookup ("" when absent).
-  std::string header(const std::string& name) const {
-    std::string lower_head = head;
-    for (char& c : lower_head) c = static_cast<char>(std::tolower(c));
-    std::string needle = "\r\n" + name + ":";
-    for (char& c : needle) c = static_cast<char>(std::tolower(c));
-    const std::size_t at = lower_head.find(needle);
-    if (at == std::string::npos) return {};
-    std::size_t begin = at + needle.size();
-    std::size_t end = head.find("\r\n", begin);
-    if (end == std::string::npos) end = head.size();
-    while (begin < end && head[begin] == ' ') ++begin;
-    while (end > begin && head[end - 1] == ' ') --end;
-    return head.substr(begin, end - begin);
-  }
-};
-
-/// Minimal blocking HTTP client for loopback tests; `headers` must be
-/// complete CRLF-terminated lines.
-ClientResponse http_request(std::uint16_t port, const std::string& method,
-                            const std::string& target,
-                            const std::string& body = std::string(),
-                            const std::string& headers = std::string()) {
-  ClientResponse out;
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return out;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return out;
-  }
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  if (!body.empty()) {
-    request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  request += headers;
-  request += "Connection: close\r\n\r\n" + body;
-  (void)send(fd, request.data(), request.size(), 0);
-
-  std::string raw;
-  char buf[8192];
-  for (;;) {
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    raw.append(buf, static_cast<std::size_t>(n));
-  }
-  close(fd);
-
-  if (raw.rfind("HTTP/1.1 ", 0) == 0 && raw.size() > 12) {
-    out.status = std::stoi(raw.substr(9, 3));
-  }
-  const std::size_t split = raw.find("\r\n\r\n");
-  if (split != std::string::npos) {
-    out.head = raw.substr(0, split);
-    out.body = raw.substr(split + 4);
-  }
-  return out;
-}
+using loopback::ClientResponse;
+using loopback::http_request;
 
 store::Snapshot make_snapshot(std::uint32_t scale, std::uint64_t seed,
                               std::size_t num_targets) {
@@ -319,7 +252,9 @@ TEST_F(ServeTest, NumericFieldsMustBeIntegersInRange) {
   const ClientResponse ok =
       attack(endpoints + ", \"deployment_top\": 3, \"probes\": 2");
   EXPECT_EQ(ok.status, 200) << ok.body;
-  for (const std::string bad : {"1e30", "4294967297", "4294967297.5", "-1"}) {
+  // 2.0000000000000001 rounds to the double 2.0 but is no integer.
+  for (const std::string bad :
+       {"1e30", "4294967297", "4294967297.5", "-1", "2.0000000000000001"}) {
     SCOPED_TRACE(bad);
     EXPECT_EQ(attack(endpoints + ", \"deployment_top\": " + bad).status, 400);
     EXPECT_EQ(attack(endpoints + ", \"probes\": " + bad).status, 400);
@@ -332,7 +267,8 @@ TEST_F(ServeTest, NumericFieldsMustBeIntegersInRange) {
   // Campaign fields are 64-bit, so 4294967297 is in range there.
   for (const char* field : {"samples", "batch", "seed", "workers",
                             "deployment_top", "probes"}) {
-    for (const std::string bad : {"1e30", "4294967297.5", "-1"}) {
+    for (const std::string bad :
+         {"1e30", "4294967297.5", "-1", "2.0000000000000001"}) {
       SCOPED_TRACE(std::string(field) + "=" + bad);
       EXPECT_EQ(http_request(port(), "POST", "/v1/campaign",
                              "{\"" + std::string(field) + "\": " + bad + "}")
@@ -340,6 +276,22 @@ TEST_F(ServeTest, NumericFieldsMustBeIntegersInRange) {
                 400);
     }
   }
+  // A seed past 2^53 runs as sent, not as its nearest double.
+  const ClientResponse submit =
+      http_request(port(), "POST", "/v1/campaign",
+                   "{\"samples\": 20, \"seed\": 9007199254740993}");
+  ASSERT_EQ(submit.status, 202) << submit.body;
+  const std::string poll =
+      obs::JsonValue::parse(submit.body).find("poll")->as_string();
+  std::string state;
+  obs::JsonValue job;
+  for (int i = 0; i < 1000 && state != "done"; ++i) {
+    if (i > 0) usleep(10000);
+    job = obs::JsonValue::parse(http_request(port(), "GET", poll).body);
+    state = job.find("state")->as_string();
+  }
+  ASSERT_EQ(state, "done");
+  EXPECT_EQ(job.find_path({"result", "seed"})->as_integer(), 9007199254740993u);
 }
 
 TEST_F(ServeTest, StopIsIdempotentAndDrains) {

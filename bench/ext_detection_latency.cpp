@@ -5,6 +5,9 @@
 // each configuration sees it — hijack damage accrues until the alert fires.
 // Per-link delays are uniform in [10ms, 200ms); an attack's detection
 // latency is the earliest first_bogus_time among the probe ASes.
+//
+// Exit status 1 when any announcement hits the engine's event cap: latencies
+// from a half-converged run would be reported as if they were measured.
 #include <algorithm>
 #include <cstdio>
 
@@ -42,6 +45,7 @@ int main() {
   std::vector<std::vector<double>> latencies(probe_sets.size());
   std::vector<std::uint32_t> missed(probe_sets.size(), 0);
   std::uint32_t harmless = 0;
+  std::uint32_t unconverged = 0;
 
   // The asynchronous engine bypasses HijackSimulator::summarize (the usual
   // tick choke point), so this loop ticks the tracker itself.
@@ -56,7 +60,11 @@ int main() {
     engine.reset();
     const auto legit = engine.announce(target, Origin::Legit, 0.0);
     const double attack_time = legit.quiescent_time + 1.0;
-    engine.announce(attacker, Origin::Attacker, attack_time);
+    const auto bogus = engine.announce(attacker, Origin::Attacker, attack_time);
+    if (!legit.converged || !bogus.converged) {
+      ++unconverged;
+      continue;
+    }
 
     if (engine.count_origin(Origin::Attacker) <= 1) {
       ++harmless;  // nobody beyond the attacker accepted it
@@ -104,5 +112,10 @@ int main() {
                   median(2) <= median(0) && median(2) <= median(1) ? "yes" : "NO");
   print_paper_row("miss ranking matches figure 7", "tier-1 worst",
                   missed[0] >= missed[2] ? "yes" : "NO");
+  if (unconverged != 0) {
+    std::fprintf(stderr, "FAIL: %u attack(s) hit the event cap before converging\n",
+                 unconverged);
+    return 1;
+  }
   return 0;
 }

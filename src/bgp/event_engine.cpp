@@ -9,171 +9,46 @@
 namespace bgpsim {
 
 EventEngine::EventEngine(const AsGraph& graph, EventEngineConfig config)
-    : graph_(graph), config_(std::move(config)) {
-  validate_engine_inputs(graph_, config_.policy);
+    : graph_(graph), config_(std::move(config)), speaker_(graph_, config_.policy) {
   BGPSIM_REQUIRE(config_.min_delay > 0.0 && config_.max_delay >= config_.min_delay,
                  "bad delay range");
-  const std::uint32_t n = graph_.num_ases();
-
-  const std::uint32_t total_edges = graph_.num_directed_edges();
-  mirror_ = graph_.reverse_slots();
-
   Rng rng(config_.delay_seed);
-  delay_.resize(total_edges);
+  delay_.resize(graph_.num_directed_edges());
   for (auto& d : delay_) d = rng.uniform(config_.min_delay, config_.max_delay);
-
-  rib_.assign(total_edges, RibEntry{});
-  rib_path_.resize(total_edges);
-  best_.assign(n, Route{});
-  best_slot_.assign(n, kSelfSlot);
-  best_path_.resize(n);
-  first_bogus_.assign(n, -1.0);
-  reset();
+  announced_.assign(graph_.num_directed_edges(), 0);
+  first_bogus_.assign(graph_.num_ases(), -1.0);
 }
 
 void EventEngine::reset() {
-  std::fill(rib_.begin(), rib_.end(), RibEntry{});
-  std::fill(best_.begin(), best_.end(), Route{});
-  std::fill(best_slot_.begin(), best_slot_.end(), kSelfSlot);
-  for (auto& path : best_path_) path.clear();
+  speaker_.reset();
+  std::fill(announced_.begin(), announced_.end(), 0);
   std::fill(first_bogus_.begin(), first_bogus_.end(), -1.0);
   queue_ = {};
   next_seq_ = 0;
 }
 
-std::uint32_t EventEngine::count_origin(Origin origin) const {
-  std::uint32_t count = 0;
-  for (const Route& r : best_) count += (r.origin == origin);
-  return count;
-}
-
 void EventEngine::schedule_exports(AsId v, double now) {
-  const Route& route = best_[v];
-  if (!route.valid()) return;
   const std::uint32_t base = graph_.edge_offset(v);
   const auto nbrs = graph_.neighbors(v);
   for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
     const Neighbor& nbr = nbrs[k];
-    if (!exports_to(route.cls, nbr.rel)) continue;
-    if (nbr.id == route.via) continue;  // split horizon
-    if (config_.policy.stub_first_hop_filter && route.cls == RouteClass::Self &&
-        route.origin == Origin::Attacker && nbr.rel == Rel::Provider &&
-        graph_.is_stub(v)) {
-      continue;
-    }
+    const Speaker::Export kind = speaker_.export_decision(v, nbr);
+    const bool was_announced = announced_[base + k] != 0;
+    announced_[base + k] = kind == Speaker::Export::Announce;
+    if (kind == Speaker::Export::Silent && !was_announced) continue;
     Message msg;
     msg.time = now + delay_[base + k];
     msg.seq = next_seq_++;
+    msg.kind = kind;
     msg.from = v;
     msg.to = nbr.id;
-    msg.to_slot = mirror_[base + k];
-    msg.origin = route.origin;
-    msg.len = static_cast<std::uint16_t>(route.path_len + 1);
-    msg.path = best_path_[v];
+    msg.to_slot = speaker_.mirror(base + k);
+    if (kind == Speaker::Export::Announce) {
+      msg.entry = speaker_.offer(v, nbr);
+      msg.path = speaker_.path_of(v);
+    }
     queue_.push(std::move(msg));
   }
-}
-
-bool EventEngine::deliver(const Message& msg, const ValidatorSet* validators) {
-  const AsId to = msg.to;
-  if (msg.origin == Origin::Attacker && validators != nullptr &&
-      (*validators)[to] != 0) {
-    ++validator_drop_count_;
-    if (prov_ != nullptr) {
-      prov_->record_edge(obs::make_edge(obs::InfectionEdgeKind::Blocked, to,
-                                        msg.from, 0, msg.len));
-    }
-    return false;
-  }
-  if (std::find(msg.path.begin(), msg.path.end(), to) != msg.path.end()) {
-    return false;  // loop
-  }
-
-  const std::uint32_t rib_idx = graph_.edge_offset(to) + msg.to_slot;
-  const RibEntry old = rib_[rib_idx];
-  const auto nbrs = graph_.neighbors(to);
-  const RouteClass cls = route_class_from(nbrs[msg.to_slot].rel);
-  const bool replaced_same = old.cls == cls && old.origin == msg.origin &&
-                             old.len == msg.len && rib_path_[rib_idx] == msg.path;
-  rib_[rib_idx] = RibEntry{msg.origin, cls, msg.len};
-  rib_path_[rib_idx] = msg.path;
-
-  const bool is_t1 = config_.policy.as_is_tier1(to);
-  Route& best = best_[to];
-
-  if (best_slot_[to] == rib_idx) {
-    if (replaced_same) return false;
-    if (!rank_better(best.cls, best.path_len, cls, msg.len, is_t1,
-                     config_.policy.tier1_shortest_path)) {
-      const Route before = best;
-      best.origin = msg.origin;
-      best.cls = cls;
-      best.path_len = msg.len;
-      best_path_[to].assign(1, to);
-      best_path_[to].insert(best_path_[to].end(), msg.path.begin(), msg.path.end());
-      record_provenance(to, best, before);
-      return true;
-    }
-    reselect(to);
-    return true;
-  }
-
-  if (strictly_better(best.cls, best.path_len, cls, msg.len, is_t1,
-                      config_.policy.tier1_shortest_path)) {
-    const Route before = best;
-    best = Route{msg.origin, cls, msg.len, msg.from};
-    best_slot_[to] = rib_idx;
-    best_path_[to].assign(1, to);
-    best_path_[to].insert(best_path_[to].end(), msg.path.begin(), msg.path.end());
-    record_provenance(to, best, before);
-    return true;
-  }
-  return false;
-}
-
-void EventEngine::reselect(AsId v) {
-  const Route before = best_[v];
-  const bool is_t1 = config_.policy.as_is_tier1(v);
-  const std::uint32_t base = graph_.edge_offset(v);
-  const auto nbrs = graph_.neighbors(v);
-  Route best{};
-  std::uint32_t best_idx = kSelfSlot;
-  for (std::uint32_t k = 0; k < nbrs.size(); ++k) {
-    const RibEntry& entry = rib_[base + k];
-    if (entry.cls == RouteClass::None) continue;
-    if (best_idx == kSelfSlot ||
-        rank_better(entry.cls, entry.len, best.cls, best.path_len, is_t1,
-                    config_.policy.tier1_shortest_path)) {
-      best = Route{entry.origin, entry.cls, entry.len, nbrs[k].id};
-      best_idx = base + k;
-    }
-  }
-  best_[v] = best;
-  best_slot_[v] = best_idx;
-  if (best_idx != kSelfSlot) {
-    best_path_[v].assign(1, v);
-    best_path_[v].insert(best_path_[v].end(), rib_path_[best_idx].begin(),
-                         rib_path_[best_idx].end());
-  } else {
-    best_path_[v].clear();
-  }
-  record_provenance(v, best_[v], before);
-}
-
-void EventEngine::record_provenance(AsId to, const Route& now,
-                                    const Route& before) {
-  if (prov_ == nullptr) return;
-  const bool now_bad = now.origin == Origin::Attacker;
-  const bool was_bad = before.origin == Origin::Attacker;
-  if (!now_bad && !was_bad) return;
-  if (now_bad && was_bad && now.via == before.via &&
-      now.path_len == before.path_len) {
-    return;  // still the same bogus route; nothing changed materially
-  }
-  prov_->record_edge(obs::make_edge(
-      now_bad ? obs::InfectionEdgeKind::Adopt : obs::InfectionEdgeKind::Cure,
-      to, now.valid() ? now.via : to, 0, now.path_len, before.path_len,
-      static_cast<std::uint8_t>(before.origin)));
 }
 
 EventRunStats EventEngine::announce(AsId origin, Origin tag, double at_time,
@@ -189,11 +64,7 @@ EventRunStats EventEngine::announce(AsId origin, Origin tag, double at_time,
                ev.str("tag", to_string(tag));
                ev.f64("at_time", at_time);
                ev.emit());
-  validator_drop_count_ = 0;
-
-  best_[origin] = Route{tag, RouteClass::Self, 1, kInvalidAs};
-  best_slot_[origin] = kSelfSlot;
-  best_path_[origin].assign(1, origin);
+  speaker_.originate(origin, tag);
   if (tag == Origin::Attacker && first_bogus_[origin] < 0.0) {
     first_bogus_[origin] = at_time;
   }
@@ -212,9 +83,11 @@ EventRunStats EventEngine::announce(AsId origin, Origin tag, double at_time,
     queue_.pop();
     ++stats.messages_delivered;
     stats.quiescent_time = msg.time;
-    if (deliver(msg, validators)) {
+    if (speaker_.receive(msg.kind, msg.from, msg.to, msg.to_slot, msg.entry,
+                         msg.path, validators)) {
       ++stats.messages_accepted;
-      if (best_[msg.to].origin == Origin::Attacker && first_bogus_[msg.to] < 0.0) {
+      if (speaker_.route(msg.to).origin == Origin::Attacker &&
+          first_bogus_[msg.to] < 0.0) {
         first_bogus_[msg.to] = msg.time;
       }
       schedule_exports(msg.to, msg.time);
@@ -223,8 +96,8 @@ EventRunStats EventEngine::announce(AsId origin, Origin tag, double at_time,
 
   BGPSIM_COUNTER_ADD("engine.event_msgs_delivered", stats.messages_delivered);
   BGPSIM_COUNTER_ADD("engine.event_msgs_accepted", stats.messages_accepted);
-  if (validator_drop_count_ != 0) {
-    BGPSIM_COUNTER_ADD("defense.validator_drops", validator_drop_count_);
+  if (const std::uint64_t drops = speaker_.take_validator_drops(); drops != 0) {
+    BGPSIM_COUNTER_ADD("defense.validator_drops", drops);
   }
   // The event engine has no synchronous frontier; the in-flight message
   // queue's high-water mark is its convergence-shape equivalent.

@@ -3,12 +3,13 @@
 // The paper's simulator is generation-synchronous ("in the next simulated
 // clock tick"), which cannot express *when* things happen. This engine
 // delivers each announcement after a deterministic per-link latency drawn
-// once at construction, processing a global time-ordered event queue with
-// the exact same policy (Adj-RIB-In, LOCAL_PREF, valley-free export, loop
-// rejection) as GenerationEngine. It answers two questions the synchronous
-// model cannot:
+// once at construction, processing a global time-ordered event queue. The
+// decision process is the one GenerationEngine runs (bgp/speaker.hpp); only
+// the schedule differs. It answers two questions the synchronous model
+// cannot:
 //   * are the paper's end-state results robust to asynchronous timing?
-//     (tests assert end-state agreement with GenerationEngine), and
+//     (audit_runner and the tests assert the same end state as
+//     EquilibriumEngine at every AS), and
 //   * how long until a detector's probe sees a hijack? (first_bogus_time).
 #pragma once
 
@@ -16,15 +17,9 @@
 #include <queue>
 #include <vector>
 
-#include "bgp/policy.hpp"
-#include "bgp/types.hpp"
-#include "topology/as_graph.hpp"
+#include "bgp/speaker.hpp"
 
 namespace bgpsim {
-
-namespace obs {
-class ProvenanceRecorder;  // obs/provenance.hpp
-}  // namespace obs
 
 struct EventEngineConfig {
   PolicyConfig policy;
@@ -40,8 +35,8 @@ struct EventEngineConfig {
 };
 
 struct EventRunStats {
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_accepted = 0;
+  std::uint64_t messages_delivered = 0;  ///< announcements and WITHDRAWs
+  std::uint64_t messages_accepted = 0;   ///< deliveries that changed a selection
   double quiescent_time = 0.0;  ///< timestamp of the last delivery
   bool converged = true;
 };
@@ -59,9 +54,13 @@ class EventEngine {
                          const ValidatorSet* validators = nullptr);
 
   const AsGraph& graph() const { return graph_; }
-  const Route& route(AsId v) const { return best_[v]; }
-  void export_routes(RouteTable& out) const { out.routes = best_; }
-  std::uint32_t count_origin(Origin origin) const;
+  const Route& route(AsId v) const { return speaker_.route(v); }
+  /// Full AS path of v's selected route: [v, next hop, ..., origin].
+  const std::vector<AsId>& path_of(AsId v) const { return speaker_.path_of(v); }
+  void export_routes(RouteTable& out) const { speaker_.export_routes(out); }
+  std::uint32_t count_origin(Origin origin) const {
+    return speaker_.count_origin(origin);
+  }
 
   /// Time the AS first *selected* an Attacker-tagged route, or a negative
   /// value when it never did. Survives across announce() calls until reset().
@@ -76,17 +75,19 @@ class EventEngine {
   /// into `recorder` during subsequent announce() calls; nullptr stops
   /// recording. The event engine has no generation clock, so the edge
   /// `generation` field is always 0. Recording never changes routing.
-  void set_provenance(obs::ProvenanceRecorder* recorder) { prov_ = recorder; }
+  void set_provenance(obs::ProvenanceRecorder* recorder) {
+    speaker_.set_provenance(recorder);
+  }
 
  private:
   struct Message {
     double time = 0.0;
     std::uint64_t seq = 0;  ///< deterministic tiebreak for equal timestamps
+    Speaker::Export kind = Speaker::Export::Announce;  ///< Silent = WITHDRAW
     AsId from = kInvalidAs;
     AsId to = kInvalidAs;
     std::uint32_t to_slot = 0;  ///< position of `from` in `to`'s adjacency
-    Origin origin = Origin::None;
-    std::uint16_t len = 0;
+    Speaker::RibEntry entry;
     std::vector<AsId> path;
 
     bool operator>(const Message& other) const {
@@ -95,42 +96,26 @@ class EventEngine {
     }
   };
 
-  struct RibEntry {
-    Origin origin = Origin::None;
-    RouteClass cls = RouteClass::None;
-    std::uint16_t len = 0;
-  };
-
+  /// Tell every neighbor what v's (changed) selection means for it. Each
+  /// directed link has one fixed delay and seq breaks timestamp ties, so
+  /// messages on a link arrive in the order they were sent.
   void schedule_exports(AsId v, double now);
-  bool deliver(const Message& msg, const ValidatorSet* validators);
-  void reselect(AsId v);
-  /// Provenance hook: emit an adopt/cure edge when `now` differs materially
-  /// from `before` and either side is Attacker-origin. No-op when unarmed.
-  void record_provenance(AsId to, const Route& now, const Route& before);
 
   const AsGraph& graph_;
   EventEngineConfig config_;
+  Speaker speaker_;
 
-  std::vector<std::uint32_t> mirror_;  // AsGraph::reverse_slots()
-  std::vector<double> delay_;          // per directed edge
-
-  std::vector<RibEntry> rib_;
-  std::vector<std::vector<AsId>> rib_path_;
-  static constexpr std::uint32_t kSelfSlot = 0xffffffffu;
-  std::vector<Route> best_;
-  std::vector<std::uint32_t> best_slot_;
-  std::vector<std::vector<AsId>> best_path_;
+  std::vector<double> delay_;  // per directed edge
+  // Per directed edge: the last message sent on it was an announcement, so
+  // the receiver holds (or will hold) a route from it. The sender cannot
+  // peek at the receiver's Adj-RIB-In, since an announcement may still be
+  // in flight; this is what decides whether losing export eligibility
+  // needs a WITHDRAW.
+  std::vector<std::uint8_t> announced_;
   std::vector<double> first_bogus_;
 
   std::priority_queue<Message, std::vector<Message>, std::greater<>> queue_;
   std::uint64_t next_seq_ = 0;
-
-  // Validator rejections during the current announce(); flushed to the
-  // defense.validator_drops counter when it returns.
-  std::uint64_t validator_drop_count_ = 0;
-
-  // Pollution provenance (see set_provenance / obs/provenance.hpp).
-  obs::ProvenanceRecorder* prov_ = nullptr;
 };
 
 }  // namespace bgpsim

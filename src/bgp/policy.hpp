@@ -2,7 +2,7 @@
 // tier-1 shortest-path rule, and valley-free export filters.
 //
 // These are pure functions over small value types so they can be unit-tested
-// exhaustively and shared verbatim by both engines.
+// exhaustively and shared by every engine.
 #pragma once
 
 #include <cstdint>
@@ -46,26 +46,6 @@ constexpr int local_pref(RouteClass cls) {
       return 0;
   }
   return 0;
-}
-
-/// True when (cand_cls, cand_len) is *strictly* preferred over the incumbent
-/// at an AS. The paper's acceptance rule: higher LOCAL_PREF wins; on equal
-/// LOCAL_PREF only a strictly shorter path replaces the incumbent (so the
-/// first-arrived route keeps ties — which is why hijacks are injected only
-/// after the legitimate route converges). Tier-1 ASes compare length first.
-constexpr bool strictly_better(RouteClass inc_cls, std::uint16_t inc_len,
-                               RouteClass cand_cls, std::uint16_t cand_len,
-                               bool is_tier1, bool tier1_shortest_path) {
-  if (inc_cls == RouteClass::None) return cand_cls != RouteClass::None;
-  if (inc_cls == RouteClass::Self) return false;
-  if (cand_cls == RouteClass::Self) return true;
-  if (is_tier1 && tier1_shortest_path) {
-    return cand_len < inc_len;
-  }
-  const int inc_pref = local_pref(inc_cls);
-  const int cand_pref = local_pref(cand_cls);
-  if (cand_pref != inc_pref) return cand_pref > inc_pref;
-  return cand_len < inc_len;
 }
 
 /// Deterministic total order used when an AS must re-select from its Adj-RIB-In

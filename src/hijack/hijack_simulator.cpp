@@ -86,34 +86,7 @@ GenerationEngine& HijackSimulator::generation_engine() {
 }
 
 AttackResult HijackSimulator::attack(AsId target, AsId attacker) {
-  BGPSIM_REQUIRE(target < graph_.num_ases(), "target out of range");
-  BGPSIM_REQUIRE(attacker < graph_.num_ases(), "attacker out of range");
-  BGPSIM_REQUIRE(target != attacker, "attacker must differ from target");
-
-  last_attack_warm_ = false;
-  obs::ProvenanceRecorder* prov = arm_trace();
-  const ValidatorSet* validators = validators_ ? &*validators_ : nullptr;
-  const bool is_eq = config_.engine == EngineKind::Equilibrium;
-  log_attack_injected(graph_, target, attacker, "exact", false,
-                      is_eq ? "equilibrium" : "generation",
-                      validators != nullptr);
-  if (is_eq) {
-    if (try_warm_attack(target, attacker, /*attacker_seed_len=*/1, validators)) {
-      last_attack_warm_ = true;
-    } else {
-      // Drop any edges a budget-tripped warm repair recorded: the cold
-      // engine re-derives the full infection history from scratch.
-      if (prov != nullptr) prov->begin_attack();
-      equilibrium_.compute_hijack(target, attacker, validators, table_);
-    }
-    return summarize(target, attacker, 0);
-  }
-  GenerationEngine& engine = generation_engine();
-  engine.reset();
-  const auto legit = engine.announce(target, Origin::Legit, validators);
-  const auto bogus = engine.announce(attacker, Origin::Attacker, validators);
-  engine.export_routes(table_);
-  return summarize(target, attacker, legit.generations + bogus.generations);
+  return attack_ex(target, attacker, {});
 }
 
 ExtendedAttackResult HijackSimulator::attack_ex(AsId target, AsId attacker,
@@ -188,7 +161,8 @@ ExtendedAttackResult HijackSimulator::attack_ex(AsId target, AsId attacker,
       if (try_warm_attack(target, attacker, attacker_seed_len, validators)) {
         last_attack_warm_ = true;
       } else {
-        // See attack(): discard partial warm-repair edges before the cold run.
+        // Drop any edges a budget-tripped warm repair recorded: the cold
+        // engine re-derives the full infection history from scratch.
         if (prov != nullptr) prov->begin_attack();
         equilibrium_.compute_hijack(target, attacker, validators, table_,
                                     attacker_seed_len);

@@ -126,7 +126,8 @@ class HijackSimulator {
   /// Whether the most recent attack was answered from a warm baseline.
   bool last_attack_warm() const { return last_attack_warm_; }
 
-  /// Simulate `attacker` hijacking `target`'s prefix.
+  /// Simulate `attacker` hijacking `target`'s prefix: attack_ex() with the
+  /// default (exact-prefix, true-origin) options and no RPKI context.
   AttackResult attack(AsId target, AsId attacker);
 
   /// Extended attack: sub-prefix and/or forged-origin announcements, with

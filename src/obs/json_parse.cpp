@@ -265,25 +265,34 @@ class JsonParser {
     }
   }
 
+  /// Consume a run of ASCII digits; returns how many.
+  std::size_t skip_digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
+    return pos_ - start;
+  }
+
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  /// Anything else (+5, 01, 1., .5) is not JSON.
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.' ||
-          c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = skip_digits();
+    if (int_digits == 0) fail(pos_ == start ? "expected a value" : "bad number");
+    if (int_digits > 1 && text_[int_start] == '0') fail("leading zero in number");
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (skip_digits() == 0) fail("expected a digit after '.'");
     }
-    if (pos_ == start) fail("expected a value");
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+      if (skip_digits() == 0) fail("expected a digit in the exponent");
+    }
     const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
-      fail("bad number '" + token + "'");
-    }
+    const double value = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(value)) fail("number out of range '" + token + "'");
     JsonValue out;
     out.kind_ = JsonValue::Kind::Number;
     out.number_ = value;

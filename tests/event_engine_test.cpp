@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bgp/equilibrium_engine.hpp"
 #include "bgp/generation_engine.hpp"
 #include "bgp/route_audit.hpp"
 #include "core/scenario.hpp"
-#include "support/stats.hpp"
 #include "support/error.hpp"
 #include "topology/graph_builder.hpp"
 
@@ -99,9 +99,9 @@ TEST(EventEngine, AgreesWithGenerationEngineOnEndState) {
   const auto& transits = scenario.transit();
 
   GenerationEngine sync(scenario.graph(), scenario.policy());
+  EquilibriumEngine equilibrium(scenario.graph(), scenario.policy());
   EventEngineConfig cfg;
   cfg.policy = scenario.policy();
-  RunningStats agreement;
   for (int trial = 0; trial < 3; ++trial) {
     cfg.delay_seed = 100 + trial;
     EventEngine async(scenario.graph(), cfg);
@@ -114,15 +114,28 @@ TEST(EventEngine, AgreesWithGenerationEngineOnEndState) {
     RouteTable sync_table;
     sync.export_routes(sync_table);
 
-    async.announce(target, Origin::Legit, 0.0);
-    async.announce(attacker, Origin::Attacker, 1000.0);  // after quiescence
+    RouteTable eq_table;
+    equilibrium.compute_hijack(target, attacker, nullptr, eq_table);
+
+    ASSERT_TRUE(async.announce(target, Origin::Legit, 0.0).converged);
+    ASSERT_TRUE(async.announce(attacker, Origin::Attacker, 1000.0).converged);
     RouteTable async_table;
     async.export_routes(async_table);
 
-    agreement.add(origin_agreement(sync_table, async_table));
+    // Asynchronous timing must not change the routing outcome at all: the
+    // same (origin, class, path length) at every AS as the unique stable
+    // state, whichever order messages arrived in.
+    for (AsId v = 0; v < scenario.graph().num_ases(); ++v) {
+      const Route& got = async_table.routes[v];
+      const Route& want = eq_table.routes[v];
+      ASSERT_TRUE(got.origin == want.origin && got.cls == want.cls &&
+                  got.path_len == want.path_len)
+          << "trial " << trial << ": AS " << v << " picked origin "
+          << to_string(got.origin) << " len " << got.path_len << ", expected "
+          << to_string(want.origin) << " len " << want.path_len;
+    }
+    EXPECT_EQ(route_agreement(sync_table, async_table), 1.0) << "trial " << trial;
   }
-  // Asynchronous timing must not change the routing outcome materially.
-  EXPECT_GE(agreement.mean(), 0.95);
 }
 
 TEST(EventEngine, ValidatorsBlock) {

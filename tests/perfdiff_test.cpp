@@ -62,6 +62,13 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_THROW(JsonValue::parse("{} trailing"), ParseError);
   EXPECT_THROW(JsonValue::parse("\"unterminated"), ParseError);
   EXPECT_THROW(JsonValue::parse("01x"), ParseError);
+  // Numbers follow the RFC 8259 grammar exactly; strtod would take these.
+  for (const char* number : {"+5", "01", "1.", ".5", "-", "1e", "1e+", "-.5", "1.e3"}) {
+    EXPECT_THROW(JsonValue::parse(number), ParseError) << number;
+    EXPECT_THROW(JsonValue::parse(std::string("{\"a\": ") + number + "}"), ParseError)
+        << number;
+  }
+  EXPECT_THROW(JsonValue::parse("1e999"), ParseError);
 }
 
 TEST(JsonParse, IntegerAccessorsRejectWhatHasNoIntegerValue) {

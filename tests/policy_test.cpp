@@ -16,41 +16,61 @@ TEST(Policy, LocalPrefOrdering) {
   EXPECT_GT(local_pref(RouteClass::Provider), local_pref(RouteClass::None));
 }
 
-TEST(Policy, StrictlyBetterPrefersHigherClass) {
-  // Customer route beats peer/provider routes regardless of length.
-  EXPECT_TRUE(strictly_better(RouteClass::Peer, 2, RouteClass::Customer, 9, false, true));
-  EXPECT_TRUE(
-      strictly_better(RouteClass::Provider, 2, RouteClass::Customer, 9, false, true));
-  EXPECT_FALSE(
-      strictly_better(RouteClass::Customer, 9, RouteClass::Peer, 2, false, true));
+// displaces() between two legitimate routes: the class and length rules
+// without the origin tie-break.
+constexpr bool legit_displaces(RouteClass inc_cls, std::uint16_t inc_len,
+                               RouteClass cand_cls, std::uint16_t cand_len,
+                               bool is_tier1, bool tier1_shortest_path) {
+  return displaces(Origin::Legit, inc_cls, inc_len, Origin::Legit, cand_cls,
+                   cand_len, is_tier1, tier1_shortest_path);
 }
 
-TEST(Policy, StrictlyBetterNeedsStrictlyShorterOnEqualClass) {
+TEST(Policy, DisplacesPrefersHigherClass) {
+  // Customer route beats peer/provider routes regardless of length.
+  EXPECT_TRUE(legit_displaces(RouteClass::Peer, 2, RouteClass::Customer, 9, false, true));
+  EXPECT_TRUE(
+      legit_displaces(RouteClass::Provider, 2, RouteClass::Customer, 9, false, true));
+  EXPECT_FALSE(
+      legit_displaces(RouteClass::Customer, 9, RouteClass::Peer, 2, false, true));
+}
+
+TEST(Policy, DisplacesNeedsStrictlyShorterOnEqualClass) {
   // Paper: "a new announcement is accepted only if it has a shorter path".
-  EXPECT_TRUE(strictly_better(RouteClass::Peer, 5, RouteClass::Peer, 4, false, true));
-  EXPECT_FALSE(strictly_better(RouteClass::Peer, 5, RouteClass::Peer, 5, false, true));
-  EXPECT_FALSE(strictly_better(RouteClass::Peer, 5, RouteClass::Peer, 6, false, true));
+  EXPECT_TRUE(legit_displaces(RouteClass::Peer, 5, RouteClass::Peer, 4, false, true));
+  EXPECT_FALSE(legit_displaces(RouteClass::Peer, 5, RouteClass::Peer, 6, false, true));
+  // A full tie between equal origins keeps the incumbent...
+  EXPECT_FALSE(legit_displaces(RouteClass::Peer, 5, RouteClass::Peer, 5, false, true));
+  // ...but the legitimate origin wins an equal-rank tie against the attacker,
+  // whichever arrived first.
+  EXPECT_TRUE(displaces(Origin::Attacker, RouteClass::Peer, 5, Origin::Legit,
+                        RouteClass::Peer, 5, false, true));
+  EXPECT_FALSE(displaces(Origin::Legit, RouteClass::Peer, 5, Origin::Attacker,
+                         RouteClass::Peer, 5, false, true));
 }
 
 TEST(Policy, EmptyIncumbentAlwaysLoses) {
-  EXPECT_TRUE(strictly_better(RouteClass::None, 0, RouteClass::Provider, 99, false, true));
-  EXPECT_FALSE(strictly_better(RouteClass::None, 0, RouteClass::None, 0, false, true));
+  EXPECT_TRUE(legit_displaces(RouteClass::None, 0, RouteClass::Provider, 99, false, true));
+  EXPECT_FALSE(legit_displaces(RouteClass::None, 0, RouteClass::None, 0, false, true));
 }
 
 TEST(Policy, SelfRouteIsSticky) {
-  EXPECT_FALSE(strictly_better(RouteClass::Self, 1, RouteClass::Customer, 1, false, true));
-  EXPECT_TRUE(strictly_better(RouteClass::Provider, 3, RouteClass::Self, 1, false, true));
+  EXPECT_FALSE(legit_displaces(RouteClass::Self, 1, RouteClass::Customer, 1, false, true));
+  EXPECT_TRUE(legit_displaces(RouteClass::Provider, 3, RouteClass::Self, 1, false, true));
+  // The attacker's own origination is never displaced by the legitimate route.
+  EXPECT_FALSE(displaces(Origin::Attacker, RouteClass::Self, 1, Origin::Legit,
+                         RouteClass::Customer, 1, false, true));
 }
 
 TEST(Policy, Tier1ComparesLengthFirst) {
   // A tier-1 swaps its customer route for a shorter peer route...
-  EXPECT_TRUE(strictly_better(RouteClass::Customer, 4, RouteClass::Peer, 3, true, true));
+  EXPECT_TRUE(legit_displaces(RouteClass::Customer, 4, RouteClass::Peer, 3, true, true));
   // ...but not when the quirk is disabled...
-  EXPECT_FALSE(strictly_better(RouteClass::Customer, 4, RouteClass::Peer, 3, true, false));
+  EXPECT_FALSE(legit_displaces(RouteClass::Customer, 4, RouteClass::Peer, 3, true, false));
   // ...and not at a non-tier-1 AS.
-  EXPECT_FALSE(strictly_better(RouteClass::Customer, 4, RouteClass::Peer, 3, false, true));
-  // Equal length never displaces at a tier-1 either.
-  EXPECT_FALSE(strictly_better(RouteClass::Customer, 3, RouteClass::Peer, 3, true, true));
+  EXPECT_FALSE(legit_displaces(RouteClass::Customer, 4, RouteClass::Peer, 3, false, true));
+  // At equal length a tier-1 falls back to LOCAL_PREF.
+  EXPECT_FALSE(legit_displaces(RouteClass::Customer, 3, RouteClass::Peer, 3, true, true));
+  EXPECT_TRUE(legit_displaces(RouteClass::Peer, 3, RouteClass::Customer, 3, true, true));
 }
 
 TEST(Policy, RankBetterTotalOrder) {

@@ -235,7 +235,8 @@ TEST_F(ServeTest, ErrorStatuses) {
 
 // Numeric fields are whole numbers in their field's range, or the request is
 // a 400: 1e30 has no integer value, 4294967297 would wrap to ASN 1 and
-// 4294967297.5 to 1 probe, and -1 would read as 0.
+// 4294967297.5 to 1 probe, -1 would read as 0, and a body whose numbers
+// are not JSON (+3) is malformed.
 TEST_F(ServeTest, NumericFieldsMustBeIntegersInRange) {
   const ClientResponse topo = http_request(port(), "GET", "/v1/topology");
   const obs::JsonValue doc = obs::JsonValue::parse(topo.body);
@@ -252,9 +253,10 @@ TEST_F(ServeTest, NumericFieldsMustBeIntegersInRange) {
   const ClientResponse ok =
       attack(endpoints + ", \"deployment_top\": 3, \"probes\": 2");
   EXPECT_EQ(ok.status, 200) << ok.body;
-  // 2.0000000000000001 rounds to the double 2.0 but is no integer.
-  for (const std::string bad :
-       {"1e30", "4294967297", "4294967297.5", "-1", "2.0000000000000001"}) {
+  // 2.0000000000000001 rounds to the double 2.0 but is no integer; +3, 03
+  // and 3. read as 3 to strtod but are not JSON numbers.
+  for (const std::string bad : {"1e30", "4294967297", "4294967297.5", "-1",
+                                "2.0000000000000001", "+3", "03", "3."}) {
     SCOPED_TRACE(bad);
     EXPECT_EQ(attack(endpoints + ", \"deployment_top\": " + bad).status, 400);
     EXPECT_EQ(attack(endpoints + ", \"probes\": " + bad).status, 400);
@@ -268,7 +270,7 @@ TEST_F(ServeTest, NumericFieldsMustBeIntegersInRange) {
   for (const char* field : {"samples", "batch", "seed", "workers",
                             "deployment_top", "probes"}) {
     for (const std::string bad :
-         {"1e30", "4294967297.5", "-1", "2.0000000000000001"}) {
+         {"1e30", "4294967297.5", "-1", "2.0000000000000001", "+3"}) {
       SCOPED_TRACE(std::string(field) + "=" + bad);
       EXPECT_EQ(http_request(port(), "POST", "/v1/campaign",
                              "{\"" + std::string(field) + "\": " + bad + "}")

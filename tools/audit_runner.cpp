@@ -1,21 +1,24 @@
 // audit_runner — differential engine-audit harness.
 //
-// Generates a synthetic Internet, then runs the two independently implemented
-// routing engines (GenerationEngine: message-passing reconstruction of the
-// paper's simulator; EquilibriumEngine: O(V+E) fixed-point) side by side over
-// a batch of hijack scenarios and checks:
+// Generates a synthetic Internet, then runs independently designed routing
+// engines side by side over a batch of hijack scenarios: EquilibriumEngine
+// (O(V+E) fixed-point) against the two message-passing schedulers of the
+// paper's decision process, GenerationEngine (lock-step generations) and
+// EventEngine (per-link delays). It checks:
 //   * audit_route_table() is clean on every equilibrium table (loop-free,
 //     valley-free, consistent via chains and lengths),
-//   * every GenerationEngine stored path is loop-free and valley-free,
-//   * origin_agreement == 1.0 — the engines pick the same origin everywhere
-//     (the paper's pollution metrics depend only on this choice).
+//   * each message-passing engine converges, and every path it stores is
+//     loop-free and valley-free,
+//   * each picks the equilibrium's (origin, class, path length) at every AS
+//     (the paper's pollution metrics depend on the origin choice).
 //
 // This is the runtime counterpart of the paper's RouteViews validation (62 %
-// exact/equivalent matches): two engines written from different designs
-// agreeing on every scenario is strong evidence neither mis-implements the
-// Gao–Rexford policy model. Registered as CTest cases (also under the asan /
-// ubsan presets); any disagreement prints the scenario coordinates so it can
-// be replayed with --seed/--victim/--attacker.
+// exact/equivalent matches): engines written from different designs, one of
+// them under asynchronous timing, agreeing on every scenario is strong
+// evidence none mis-implements the Gao–Rexford policy model. Registered as
+// CTest cases (also under the asan / ubsan presets); any disagreement prints
+// the scenario coordinates so it can be replayed with
+// --seed/--victim/--attacker.
 //
 // Exit status: 0 all scenarios pass, 1 any check failed, 2 usage or input
 // error.
@@ -26,6 +29,7 @@
 #include <string_view>
 
 #include "bgp/equilibrium_engine.hpp"
+#include "bgp/event_engine.hpp"
 #include "bgp/generation_engine.hpp"
 #include "bgp/route_audit.hpp"
 #include "flags.hpp"
@@ -49,7 +53,7 @@ struct Options {
 
 const flags::Usage kUsage{
     "audit_runner [options]",
-    "run both route engines over hijack scenarios and check that they agree",
+    "run the route engines over hijack scenarios and check that they agree",
     {flags::count<std::uint32_t>("ases", "topology size (default 1000)"),
      flags::count<std::uint64_t>("seed", "topology and scenario seed (default 1)"),
      flags::count<std::uint32_t>("trials", "random scenarios (default 8)"),
@@ -70,23 +74,28 @@ void explain_route(const AsGraph& graph, const char* label, const Route& route,
   std::cout << '\n';
 }
 
-void explain_disagreements(const AsGraph& graph, const RouteTable& eq_table,
-                           const RouteTable& gen_table,
-                           const GenerationEngine& generation,
-                           const PolicyConfig& config) {
+template <typename Engine>
+void explain_disagreements(const AsGraph& graph, const char* name,
+                           const RouteTable& eq_table, const RouteTable& table,
+                           const Engine& engine, const PolicyConfig& config) {
   std::uint32_t shown = 0;
   for (AsId v = 0; v < graph.num_ases(); ++v) {
-    if (eq_table.routes[v].origin == gen_table.routes[v].origin) continue;
+    const Route& want = eq_table.routes[v];
+    const Route& got = table.routes[v];
+    if (want.origin == got.origin && want.cls == got.cls &&
+        want.path_len == got.path_len) {
+      continue;
+    }
     if (++shown > 16) {
       std::cout << "  ... (more disagreements elided)\n";
       break;
     }
     std::cout << "  AS " << v << " disagrees (tier1=" << config.as_is_tier1(v)
               << "):\n";
-    explain_route(graph, "equilibrium", eq_table.routes[v], v);
-    explain_route(graph, "generation ", gen_table.routes[v], v);
-    std::cout << "    generation path:";
-    for (const AsId hop : generation.path_of(v)) std::cout << ' ' << hop;
+    explain_route(graph, "equilibrium", want, v);
+    explain_route(graph, name, got, v);
+    std::cout << "    " << name << " path:";
+    for (const AsId hop : engine.path_of(v)) std::cout << ' ' << hop;
     std::cout << '\n';
   }
 }
@@ -102,10 +111,50 @@ struct Failure {
   }
 };
 
+/// The checks every message-passing engine must pass once it has run the
+/// scenario: convergence, policy-compliant stored paths, and the
+/// equilibrium's (origin, class, path length) at every AS.
+template <typename Engine>
+void audit_engine(const Options& opts, const AsGraph& graph,
+                  const PolicyConfig& config, const char* name,
+                  const Engine& engine, bool converged,
+                  const RouteTable& eq_table, AsId victim, AsId attacker,
+                  Failure& failure) {
+  if (!converged) {
+    failure.report(opts, victim, attacker,
+                   std::string(name) + " engine did not converge");
+    return;
+  }
+
+  std::uint64_t bad_paths = 0;
+  for (AsId v = 0; v < graph.num_ases(); ++v) {
+    const auto& path = engine.path_of(v);
+    if (path.empty()) continue;
+    if (!path_is_loop_free(path) || !path_is_valley_free(graph, path)) ++bad_paths;
+  }
+  if (bad_paths != 0) {
+    failure.report(opts, victim, attacker,
+                   std::string(name) + " engine produced " +
+                       std::to_string(bad_paths) + " non-policy-compliant path(s)");
+  }
+
+  RouteTable table;
+  engine.export_routes(table);
+  const double agreement = route_agreement(eq_table, table);
+  if (agreement != 1.0) {
+    failure.report(opts, victim, attacker,
+                   std::string(name) + " route agreement " +
+                       std::to_string(agreement) + " != 1.0 with equilibrium");
+    if (opts.explain) {
+      explain_disagreements(graph, name, eq_table, table, engine, config);
+    }
+  }
+}
+
 void audit_scenario(const Options& opts, const AsGraph& graph,
                     const PolicyConfig& config, EquilibriumEngine& equilibrium,
-                    GenerationEngine& generation, AsId victim, AsId attacker,
-                    Failure& failure) {
+                    GenerationEngine& generation, EventEngine& event,
+                    AsId victim, AsId attacker, Failure& failure) {
   RouteTable eq_table;
   equilibrium.compute_hijack(victim, attacker, nullptr, eq_table);
   const AuditReport eq_report = audit_route_table(graph, eq_table);
@@ -119,36 +168,19 @@ void audit_scenario(const Options& opts, const AsGraph& graph,
   }
 
   generation.reset();
-  const auto legit_stats = generation.announce(victim, Origin::Legit);
-  const auto attack_stats = generation.announce(attacker, Origin::Attacker);
-  if (!legit_stats.converged || !attack_stats.converged) {
-    failure.report(opts, victim, attacker, "generation engine did not converge");
-    return;
-  }
+  const bool gen_converged = generation.announce(victim, Origin::Legit).converged &&
+                             generation.announce(attacker, Origin::Attacker).converged;
+  audit_engine(opts, graph, config, "generation", generation, gen_converged,
+               eq_table, victim, attacker, failure);
 
-  std::uint64_t bad_paths = 0;
-  for (AsId v = 0; v < graph.num_ases(); ++v) {
-    const auto& path = generation.path_of(v);
-    if (path.empty()) continue;
-    if (!path_is_loop_free(path) || !path_is_valley_free(graph, path)) ++bad_paths;
-  }
-  if (bad_paths != 0) {
-    failure.report(opts, victim, attacker,
-                   "generation engine produced " + std::to_string(bad_paths) +
-                       " non-policy-compliant path(s)");
-  }
-
-  RouteTable gen_table;
-  generation.export_routes(gen_table);
-  const double agreement = origin_agreement(eq_table, gen_table);
-  if (agreement != 1.0) {
-    failure.report(opts, victim, attacker,
-                   "origin agreement " + std::to_string(agreement) +
-                       " != 1.0 between engines");
-    if (opts.explain) {
-      explain_disagreements(graph, eq_table, gen_table, generation, config);
-    }
-  }
+  event.reset();
+  const EventRunStats legit = event.announce(victim, Origin::Legit, 0.0);
+  const bool event_converged =
+      legit.converged &&
+      event.announce(attacker, Origin::Attacker, legit.quiescent_time + 1.0)
+          .converged;
+  audit_engine(opts, graph, config, "event", event, event_converged, eq_table,
+               victim, attacker, failure);
 }
 
 int run(const Options& opts) {
@@ -165,12 +197,16 @@ int run(const Options& opts) {
 
   EquilibriumEngine equilibrium(graph, config);
   GenerationEngine generation(graph, config);
+  EventEngineConfig event_config;
+  event_config.policy = config;
+  event_config.delay_seed = derive_seed(opts.seed, 0xe7e47ULL);
+  EventEngine event(graph, event_config);
 
   Failure failure;
   std::uint32_t scenarios = 0;
   if (opts.victim) {
-    audit_scenario(opts, graph, config, equilibrium, generation, *opts.victim,
-                   *opts.attacker, failure);
+    audit_scenario(opts, graph, config, equilibrium, generation, event,
+                   *opts.victim, *opts.attacker, failure);
     ++scenarios;
   } else {
     Rng rng(derive_seed(opts.seed, 0xa0d17ULL));
@@ -178,8 +214,8 @@ int run(const Options& opts) {
       const AsId victim = static_cast<AsId>(rng.bounded(graph.num_ases()));
       AsId attacker = static_cast<AsId>(rng.bounded(graph.num_ases()));
       if (attacker == victim) attacker = (attacker + 1) % graph.num_ases();
-      audit_scenario(opts, graph, config, equilibrium, generation, victim,
-                     attacker, failure);
+      audit_scenario(opts, graph, config, equilibrium, generation, event,
+                     victim, attacker, failure);
       ++scenarios;
     }
   }
